@@ -114,22 +114,23 @@ let info_cmd =
         (Dg.Layout.num_basis lay) (Dg.Layout.num_cbasis lay);
       for dir = 0 to cdim + vdim - 1 do
         let k = Dg.Tensors.make_dir lay ~dir in
-        (* what this build runs: the registry holds only the directions
-           the emitter's mult budget let through *)
+        let fc = k.Dg.Tensors.face in
+        (* what this build runs: the registry holds every direction of
+           the standard configurations *)
         let path =
           match Dg_dispatch.Dispatch.find_bundle lay ~dir with
           | Some b ->
               Printf.sprintf "generated (%d mults)" b.Dg_genkernels.Kernels.mults
           | None -> "interpreted"
         in
-        Fmt.pr "dir %d (%s): volume nnz %d, surface nnz %d, total %d, %s@."
+        Fmt.pr
+          "dir %d (%s): volume nnz %d, face basis %d, face nnz %d (triple \
+           %d), total %d, %s@."
           dir
           (if dir < cdim then "streaming" else "acceleration")
           (Dg.Sparse.t3_nnz k.Dg.Tensors.vol)
-          (Dg.Sparse.t3_nnz k.Dg.Tensors.surf_ll
-          + Dg.Sparse.t3_nnz k.Dg.Tensors.surf_lr
-          + Dg.Sparse.t3_nnz k.Dg.Tensors.surf_rl
-          + Dg.Sparse.t3_nnz k.Dg.Tensors.surf_rr)
+          fc.Dg.Tensors.nface (Dg.Tensors.face_nnz fc)
+          (Dg.Sparse.t3_nnz fc.Dg.Tensors.triple)
           (Dg.Tensors.dir_nnz k) path
       done;
       `Ok ()
@@ -153,8 +154,8 @@ let kernel_dump_cmd =
             dir cdim vdim pdim )
     else begin
       (* print the emitter's volume kernel for this direction, for any
-         layout: also for directions the registry leaves out, and with
-         the pre-CSE mult count *)
+         layout (also one the registry does not hold), with the pre-CSE
+         mult count, then its five face kernels *)
       let lay = make_layout ~cdim ~vdim ~family ~p in
       if dir < cdim then begin
         let src, st =
@@ -173,6 +174,11 @@ let kernel_dump_cmd =
         print_string src;
         Fmt.pr "@.(* %d multiplications *)@." st.Dg.Codegen.raw_mults
       end;
+      (* the surface term in face form: restrict, face flux, lift *)
+      let k = Dg.Tensors.make_dir lay ~dir in
+      List.iter
+        (fun (_, _, src, _) -> Fmt.pr "@.%s" src)
+        (Dg.Codegen.emit_face_kernels k.Dg.Tensors.face ~name:Fun.id);
       `Ok ()
     end
   in
@@ -184,7 +190,7 @@ let kernel_dump_cmd =
   in
   Cmd.v
     (Cmd.info "kernel-dump"
-       ~doc:"Print an auto-generated unrolled volume kernel (cf. paper Fig. 1)")
+       ~doc:"Print the auto-generated unrolled volume and face kernels of a direction (cf. paper Fig. 1)")
     Term.(ret (const run $ cdim_t $ vdim_t $ p_t $ family_t $ dir_t))
 
 (* --- run / scenarios (the registry-driven interface) ---------------------- *)

@@ -150,24 +150,18 @@ let project_phase (lay : Layout.t) ~(f : pos:float array -> vel:float array -> f
       Field.write_block fld c coeffs)
 
 (* Project a pointwise configuration-space vector function onto a field with
-   [ncomp_vec] components of [nb] coefficients each. *)
+   [ncomp_vec] components of [nb] coefficients each: [f] runs once per
+   Gauss point and every component is projected from that one value. *)
 let project_config (lay : Layout.t) ~(f : float array -> float array) ~ncomp_vec
     (fld : Field.t) =
-  let nb = Layout.num_cbasis lay in
   let proj = Modal.projector lay.Layout.cbasis in
   let grid = lay.Layout.cgrid in
   let phys = Array.make lay.Layout.cdim 0.0 in
-  let block = Array.make (ncomp_vec * nb) 0.0 in
   Grid.iter_cells grid (fun _ c ->
-      for comp = 0 to ncomp_vec - 1 do
-        let coeffs =
-          Modal.project_with proj (fun xi ->
-              Grid.to_physical grid c xi phys;
-              (f phys).(comp))
-        in
-        Array.blit coeffs 0 block (comp * nb) nb
-      done;
-      Field.write_block fld c block)
+      Field.write_block fld c
+        (Modal.project_vec_with proj ~ncomp:ncomp_vec (fun xi ->
+             Grid.to_physical grid c xi phys;
+             f phys)))
 
 (* Solve Gauss's law from the instantaneous charge density and write the
    resulting E_x expansion into component 0 of [em] (interior cells; the

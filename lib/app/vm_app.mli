@@ -91,7 +91,8 @@ val project_config :
   Layout.t -> f:(float array -> float array) -> ncomp_vec:int -> Field.t -> unit
 (** Project a pointwise configuration-space vector function (the
     [ncomp_vec] components of [f x]) cell by cell, through one
-    configuration-basis projector built per call.  [f] must not keep its
+    configuration-basis projector built per call.  [f] is called once per
+    Gauss point per cell, whatever [ncomp_vec].  [f] must not keep its
     argument: the array is reused at every point. *)
 
 val create : spec -> t

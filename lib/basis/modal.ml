@@ -180,6 +180,27 @@ let project_with pr f =
     pr.points;
   coeffs
 
+(* The vector form: [f] is called once per point and returns [ncomp]
+   values; component c's coefficients land at [c * np + k].  Each
+   component accumulates in the same point order and with the same
+   products as [project_with] on that component alone, so the two agree
+   bitwise. *)
+let project_vec_with pr ~ncomp f =
+  let np = pr.np and wts = pr.wts and phi = pr.phi in
+  let coeffs = Array.make (ncomp * np) 0.0 in
+  Array.iteri
+    (fun q pt ->
+      let fv = f pt in
+      let base = q * np in
+      for c = 0 to ncomp - 1 do
+        let fc = fv.(c) and cb = c * np in
+        for k = 0 to np - 1 do
+          coeffs.(cb + k) <- coeffs.(cb + k) +. (wts.(q) *. fc *. phi.(base + k))
+        done
+      done)
+    pr.points;
+  coeffs
+
 let project ?nquad t f = project_with (projector ?nquad t) f
 
 (* Cell average of an expansion: the constant mode times the normalization

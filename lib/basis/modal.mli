@@ -76,6 +76,14 @@ val project_with : projector -> (float array -> float) -> float array
     shared by every call on [pr]: [f] must read it and neither mutate it
     nor keep it.  The result is a fresh array. *)
 
+val project_vec_with :
+  projector -> ncomp:int -> (float array -> float array) -> float array
+(** [project_vec_with pr ~ncomp f] projects the [ncomp] components of a
+    vector function, calling [f] once per Gauss point (in point order,
+    with the same sharing rule as {!project_with}).  Component [c]'s
+    coefficients are at [c * num_basis + k], bitwise equal to
+    [project_with pr (fun x -> (f x).(c))]. *)
+
 val project : ?nquad:int -> t -> (float array -> float) -> float array
 (** [project ?nquad t f] is [project_with (projector ?nquad t) f]: one
     projection with a table built for it (tests, one-off use). *)

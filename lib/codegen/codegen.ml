@@ -8,7 +8,8 @@
    Three kernel kinds, all run in place on flat field storage:
    - [emit_t3_apply_off]: unrolls a generic 3-tensor application
        out.(l) <- out.(l) + scale * sum_entries c * alpha.(m) * f.(n)
-   - [emit_t2_apply_off]: the same for a 2-tensor (penalty) application;
+   - [emit_t2_apply_off]: the same for a 2-tensor application (the face
+     restrictions and lifts);
    - [emit_streaming_volume_off]: the specialized Fig.-1-style kernel for
      the collisionless streaming volume term, where the two-coefficient
      flux expansion is folded in so the kernel takes only the cell geometry
@@ -90,10 +91,9 @@ type stats = {
    17 GB) and thrash the instruction cache; chunk output rows into
    part-functions of at most [max_rows] rows AND at most
    [chunk_mult_budget] unrolled multiplications (sequential row ranges),
-   stitched by a same-signature wrapper.  High-order velocity-direction
-   kernels (2x2v p2 ser: 23k mults) thus compile as a sequence of small
-   parts; what is too large to win even chunked is left out of the
-   registry by [mult_budget]. *)
+   stitched by a same-signature wrapper.  Large kernels (the 2x3v p2
+   acceleration volume terms) thus compile as a sequence of small
+   parts. *)
 let max_rows = 8
 let chunk_mult_budget = 2_000
 
@@ -365,9 +365,9 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
 (* --- per-direction kernel bundles and the dispatch registry ------------- *)
 
 (* The configurations whose kernels lib/genkernels generates at build time
-   (family, poly_order, cdim, vdim): the common low-dimensional production
-   cases, each direction within [mult_budget].  Everything else runs the
-   interpreted sparse path. *)
+   (family, poly_order, cdim, vdim): the common production cases up to the
+   paper's 2X3V p=2 and 3X3V p=1 Serendipity runs, every direction of
+   each.  Everything else runs the interpreted sparse path. *)
 let standard_configs =
   [
     (Modal.Serendipity, 1, 1, 1);
@@ -376,6 +376,9 @@ let standard_configs =
     (Modal.Serendipity, 2, 1, 2);
     (Modal.Serendipity, 1, 2, 2);
     (Modal.Serendipity, 2, 2, 2);
+    (Modal.Serendipity, 1, 2, 3);
+    (Modal.Serendipity, 2, 2, 3);
+    (Modal.Serendipity, 1, 3, 3);
     (Modal.Tensor, 1, 1, 1);
     (Modal.Tensor, 2, 1, 1);
     (Modal.Tensor, 1, 1, 2);
@@ -413,6 +416,24 @@ let basis_signature basis =
               (Array.map string_of_int
                  (Dg_util.Multi_index.to_array (Dg_basis.Modal.index basis k))))))
 
+(* The five face kernels of a direction (Tensors.face), in the order the
+   solver runs them: restrict both traces, the face triple, lift into
+   both cells.  Returns (bundle field, kernel name, source, stats) per
+   kernel; [name kind] names the kernel of kind [kind]. *)
+let emit_face_kernels (fc : Tensors.face) ~name =
+  let t2 field kind t =
+    let src, st = emit_t2_apply_off ~name:(name kind) t in
+    (field, name kind, src, st)
+  in
+  let src, st = emit_t3_apply_off ~name:(name "face") fc.Tensors.triple in
+  [
+    t2 "restrict_lo" "rlo" fc.Tensors.restrict_lo;
+    t2 "restrict_hi" "rhi" fc.Tensors.restrict_hi;
+    ("face", name "face", src, st);
+    t2 "lift_lo" "llo" fc.Tensors.lift_lo;
+    t2 "lift_hi" "lhi" fc.Tensors.lift_hi;
+  ]
+
 (* Emit the kernel bundle for one (layout, dir); returns
    (source, hot-path stats).  Stats count only the kernels the dispatcher
    actually runs (the streaming volume form is preferred over the generic
@@ -422,119 +443,76 @@ let emit_dir_bundle (lay : Layout.t) ~dir ~tag =
   let n kind = Printf.sprintf "%s_%s_d%d" kind tag dir in
   let buf = Buffer.create 16384 in
   let raw = ref 0 and cse = ref 0 and chunks = ref 0 in
-  let tally (st : stats) =
-    raw := !raw + st.raw_mults;
-    cse := !cse + st.cse_mults;
-    chunks := !chunks + st.chunks
-  in
-  let add_t3 kind t =
-    let src, st = emit_t3_apply_off ~name:(n kind) t in
+  let add ?(counted = true) src (st : stats) =
     Buffer.add_string buf src;
     Buffer.add_char buf '\n';
-    tally st
-  in
-  let add_t2 kind t =
-    let src, st = emit_t2_apply_off ~name:(n kind) t in
-    Buffer.add_string buf src;
-    Buffer.add_char buf '\n';
-    tally st
-  in
-  let stream =
-    if Layout.is_config_dir lay dir then begin
-      let src, st = emit_streaming_volume_off lay ~dir ~name:(n "vs") in
-      Buffer.add_string buf src;
-      Buffer.add_char buf '\n';
-      tally st;
-      true
+    if counted then begin
+      raw := !raw + st.raw_mults;
+      cse := !cse + st.cse_mults;
+      chunks := !chunks + st.chunks
     end
-    else false
   in
+  let stream = Layout.is_config_dir lay dir in
+  if stream then begin
+    let src, st = emit_streaming_volume_off lay ~dir ~name:(n "vs") in
+    add src st
+  end;
   (* generic alpha-based volume kernel: counted only when no specialized
      streaming form exists (the dispatcher prefers the streaming form) *)
   let vol_src, vol_st = emit_t3_apply_off ~name:(n "vol") dk.Tensors.vol in
-  Buffer.add_string buf vol_src;
-  Buffer.add_char buf '\n';
-  if not stream then tally vol_st;
-  add_t3 "sll" dk.Tensors.surf_ll;
-  add_t3 "slr" dk.Tensors.surf_lr;
-  add_t3 "srl" dk.Tensors.surf_rl;
-  add_t3 "srr" dk.Tensors.surf_rr;
-  add_t2 "pll" dk.Tensors.pen_ll;
-  add_t2 "plr" dk.Tensors.pen_lr;
-  add_t2 "prl" dk.Tensors.pen_rl;
-  add_t2 "prr" dk.Tensors.pen_rr;
+  add ~counted:(not stream) vol_src vol_st;
+  let faces = emit_face_kernels dk.Tensors.face ~name:n in
+  List.iter (fun (_, _, src, st) -> add src st) faces;
   Buffer.add_string buf
     (Printf.sprintf
-       "let b_%s_d%d : bundle = { vol = %s; vol_stream = %s; surf_ll = %s; \
-        surf_lr = %s; surf_rl = %s; surf_rr = %s; pen_ll = %s; pen_lr = %s; \
-        pen_rl = %s; pen_rr = %s; mults = %d; mults_raw = %d; chunks = %d }\n"
+       "let b_%s_d%d : bundle = { vol = %s; vol_stream = %s; %s; mults = %d; \
+        mults_raw = %d; chunks = %d }\n"
        tag dir (n "vol")
        (if stream then "Some " ^ n "vs" else "None")
-       (n "sll") (n "slr") (n "srl") (n "srr") (n "pll") (n "plr") (n "prl")
-       (n "prr") !cse !raw !chunks);
+       (String.concat "; "
+          (List.map (fun (field, kname, _, _) -> field ^ " = " ^ kname) faces))
+       !cse !raw !chunks);
   (Buffer.contents buf, { raw_mults = !raw; cse_mults = !cse; chunks = !chunks })
 
 let dir_stats lay ~dir = snd (emit_dir_bundle lay ~dir ~tag:"stats")
 
-(* I-cache mult budget, applied here when the registry is generated.
-   Unrolled kernels win while the emitted code stays resident; past ~tens
-   of kilomults the straight-line body blows the instruction cache and the
-   interpreted loops win on their compact footprint.  A full-RHS
-   measurement of every standard config put the crossover between the
-   largest winner (2x2v p2 serendipity acceleration, 21,649 mults, 2.26x)
-   and the one loser (2x2v p2 tensor acceleration, 62,105 mults, 0.77x);
-   32,000 splits that interval.  A direction whose post-CSE mult count
-   exceeds it is not emitted, so the registry holds exactly the kernels
-   dispatch runs and the rest run interpreted. *)
-let mult_budget = 32_000
-
 (* The complete generated-kernel module: per-direction bundles for every
-   standard configuration direction within [mult_budget], plus a registry
-   keyed by (family, poly_order, cdim, vdim, dir).  Deterministic:
-   lib/genkernels builds kernels.ml from it through bin/kernel_gen. *)
+   direction of every standard configuration, plus a registry keyed by
+   (family, poly_order, cdim, vdim, dir).  Deterministic: lib/genkernels
+   builds kernels.ml from it through bin/kernel_gen. *)
 let registry_payload () =
   let buf = Buffer.create (1 lsl 20) in
   let index = Buffer.create 1024 in
   let arms = Buffer.create 4096 in
   let seen = Hashtbl.create 16 in
-  (* (signature, cdim, vdim) -> tag of the emitted bundle set and which of
-     its directions were emitted *)
+  (* (signature, cdim, vdim) -> tag of the emitted bundle set *)
   List.iter
     (fun (family, p, cdim, vdim) ->
       let lay = unit_layout ~cdim ~vdim ~family ~p in
       let key = (basis_signature lay.Layout.basis, cdim, vdim) in
-      let tag, emitted =
+      let tag =
         match Hashtbl.find_opt seen key with
-        | Some entry -> entry
+        | Some tag -> tag
         | None ->
             let tag = config_tag ~family ~p ~cdim ~vdim in
-            let emitted =
-              Array.init lay.Layout.pdim (fun dir ->
-                  let src, st = emit_dir_bundle lay ~dir ~tag in
-                  let fits = st.cse_mults <= mult_budget in
-                  if fits then begin
-                    Buffer.add_string buf src;
-                    Buffer.add_char buf '\n'
-                  end;
-                  Buffer.add_string index
-                    (Printf.sprintf
-                       "   %s dir %d: %d mults unrolled, %d after cse, %s\n"
-                       tag dir st.raw_mults st.cse_mults
-                       (if fits then Printf.sprintf "%d chunks" st.chunks
-                        else "not emitted: runs interpreted"));
-                  fits)
-            in
-            Hashtbl.add seen key (tag, emitted);
-            (tag, emitted)
+            for dir = 0 to lay.Layout.pdim - 1 do
+              let src, st = emit_dir_bundle lay ~dir ~tag in
+              Buffer.add_string buf src;
+              Buffer.add_char buf '\n';
+              Buffer.add_string index
+                (Printf.sprintf
+                   "   %s dir %d: %d mults unrolled, %d after cse, %d chunks\n"
+                   tag dir st.raw_mults st.cse_mults st.chunks)
+            done;
+            Hashtbl.add seen key tag;
+            tag
       in
-      Array.iteri
-        (fun dir fits ->
-          if fits then
-            Buffer.add_string arms
-              (Printf.sprintf "  | %S, %d, %d, %d, %d -> Some b_%s_d%d\n"
-                 (Dg_basis.Modal.family_name family)
-                 p cdim vdim dir tag dir))
-        emitted)
+      for dir = 0 to lay.Layout.pdim - 1 do
+        Buffer.add_string arms
+          (Printf.sprintf "  | %S, %d, %d, %d, %d -> Some b_%s_d%d\n"
+             (Dg_basis.Modal.family_name family)
+             p cdim vdim dir tag dir)
+      done)
     standard_configs;
   let out = Buffer.create (1 lsl 20) in
   Buffer.add_string out
@@ -554,14 +532,11 @@ let registry_payload () =
      type bundle = {\n\
     \  vol : t3_fn;\n\
     \  vol_stream : stream_fn option;\n\
-    \  surf_ll : t3_fn;\n\
-    \  surf_lr : t3_fn;\n\
-    \  surf_rl : t3_fn;\n\
-    \  surf_rr : t3_fn;\n\
-    \  pen_ll : t2_fn;\n\
-    \  pen_lr : t2_fn;\n\
-    \  pen_rl : t2_fn;\n\
-    \  pen_rr : t2_fn;\n\
+    \  restrict_lo : t2_fn;\n\
+    \  restrict_hi : t2_fn;\n\
+    \  face : t3_fn;\n\
+    \  lift_lo : t2_fn;\n\
+    \  lift_hi : t2_fn;\n\
     \  mults : int;\n\
     \  mults_raw : int;\n\
     \  chunks : int;\n\

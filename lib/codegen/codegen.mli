@@ -45,27 +45,26 @@ val emit_streaming_volume_off :
 
 val standard_configs : (Dg_basis.Modal.family * int * int * int) list
 (** The (family, poly_order, cdim, vdim) configurations whose kernel
-    bundles [lib/genkernels] generates, each direction within
-    {!mult_budget}; every other direction runs the interpreted sparse
-    path. *)
+    bundles [lib/genkernels] generates, every direction of each, up to
+    the paper's 2X3V p=2 and 3X3V p=1 Serendipity runs; every other
+    configuration runs the interpreted sparse path. *)
+
+val emit_face_kernels :
+  Dg_kernels.Tensors.face ->
+  name:(string -> string) ->
+  (string * string * string * stats) list
+(** The five face kernels of a direction in the order the solver runs
+    them (restrict_lo, restrict_hi, face, lift_lo, lift_hi): for each,
+    its bundle field, kernel name ([name kind]), source and stats. *)
 
 val dir_stats : Layout.t -> dir:int -> stats
 (** Hot-path cost of the kernel bundle for one direction of a layout, as
-    the registry would emit it: summed over the kernels dispatch runs
-    (the streaming volume form replaces the generic one on configuration
-    directions). *)
-
-val mult_budget : int
-(** 32,000: the I-cache budget on a direction's post-CSE mult count
-    ({!dir_stats}[.cse_mults]).  Between the largest measured winner of
-    unrolling (2x2v p2 serendipity acceleration, 21,649 mults, 2.26x) and
-    the one measured loser (2x2v p2 tensor acceleration, 62,105 mults,
-    0.77x).  {!registry_payload} leaves out every direction above it. *)
+    the registry emits it: summed over the kernels dispatch runs (the
+    streaming volume form replaces the generic one on configuration
+    directions, and the five face kernels carry the surface term). *)
 
 val registry_payload : unit -> string
 (** The complete generated-kernel module source: a bundle for every
-    direction of every standard configuration whose post-CSE mult count
-    fits {!mult_budget}, plus the dispatch registry.  Directions over the
-    budget are listed in the header comment as not emitted; dispatch runs
-    them interpreted.  Deterministic; [bin/kernel_gen] prints it and the
+    direction of every standard configuration, plus the dispatch
+    registry.  Deterministic; [bin/kernel_gen] prints it and the
     [lib/genkernels] build rule compiles the result. *)

@@ -4,11 +4,12 @@
    sparse application otherwise.  Selection happens once at solver creation;
    the hot path pays a single constructor match per tensor application.
 
-   The registry is keyed by (family, poly_order, cdim, vdim, dir), so a
-   configuration can be partially specialized — e.g. 2X2V p=2 tensor ships
-   unrolled streaming (configuration) directions while its acceleration
-   directions, over the emitter's I-cache mult budget
-   (Codegen.mult_budget), are not generated and run interpreted. *)
+   The registry is keyed by (family, poly_order, cdim, vdim, dir) and
+   holds every direction of every standard configuration
+   (Codegen.standard_configs): with the surface term in face form each
+   direction is a few thousand multiplications, so nothing is left out.
+   Every other configuration (maximal-order bases, higher orders or
+   dimensions) runs the interpreted sparse loops over the same tables. *)
 
 module K = Dg_genkernels.Kernels
 module Modal = Dg_basis.Modal
@@ -34,19 +35,19 @@ let apply_t2 op ~scale (f : float array) ~foff (out : float array) ~ooff =
    [vol_stream] is the specialized streaming volume kernel (configuration
    directions of specialized bundles only): it folds the two-coefficient
    flux expansion into the literals, so the caller passes cell geometry
-   instead of a flux expansion. *)
+   instead of a flux expansion.  The surface term runs in face form
+   (Tensors.face): two restrictions to the face basis, the face triple,
+   two lifts. *)
 type dir_ops = {
   specialized : bool;
   vol : t3_op;
   vol_stream : K.stream_fn option;
-  surf_ll : t3_op;
-  surf_lr : t3_op;
-  surf_rl : t3_op;
-  surf_rr : t3_op;
-  pen_ll : t2_op;
-  pen_lr : t2_op;
-  pen_rl : t2_op;
-  pen_rr : t2_op;
+  nface : int; (* face-basis size *)
+  restrict_lo : t2_op;
+  restrict_hi : t2_op;
+  face : t3_op;
+  lift_lo : t2_op;
+  lift_hi : t2_op;
   mults : int; (* multiplications per cell-direction update (generated) *)
 }
 
@@ -59,6 +60,7 @@ let find_bundle (lay : Layout.t) ~dir =
 
 let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
   let bundle = if use_generated then find_bundle lay ~dir else None in
+  let fc = dk.Tensors.face in
   match bundle with
   | Some b ->
       Dg_obs.Obs.count "dispatch.specialized_dirs" 1;
@@ -70,14 +72,12 @@ let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
         specialized = true;
         vol = Gen3 b.K.vol;
         vol_stream = b.K.vol_stream;
-        surf_ll = Gen3 b.K.surf_ll;
-        surf_lr = Gen3 b.K.surf_lr;
-        surf_rl = Gen3 b.K.surf_rl;
-        surf_rr = Gen3 b.K.surf_rr;
-        pen_ll = Gen2 b.K.pen_ll;
-        pen_lr = Gen2 b.K.pen_lr;
-        pen_rl = Gen2 b.K.pen_rl;
-        pen_rr = Gen2 b.K.pen_rr;
+        nface = fc.Tensors.nface;
+        restrict_lo = Gen2 b.K.restrict_lo;
+        restrict_hi = Gen2 b.K.restrict_hi;
+        face = Gen3 b.K.face;
+        lift_lo = Gen2 b.K.lift_lo;
+        lift_hi = Gen2 b.K.lift_hi;
         mults = b.K.mults;
       }
   | None ->
@@ -86,13 +86,36 @@ let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
         specialized = false;
         vol = Interp3 dk.Tensors.vol;
         vol_stream = None;
-        surf_ll = Interp3 dk.Tensors.surf_ll;
-        surf_lr = Interp3 dk.Tensors.surf_lr;
-        surf_rl = Interp3 dk.Tensors.surf_rl;
-        surf_rr = Interp3 dk.Tensors.surf_rr;
-        pen_ll = Interp2 dk.Tensors.pen_ll;
-        pen_lr = Interp2 dk.Tensors.pen_lr;
-        pen_rl = Interp2 dk.Tensors.pen_rl;
-        pen_rr = Interp2 dk.Tensors.pen_rr;
+        nface = fc.Tensors.nface;
+        restrict_lo = Interp2 fc.Tensors.restrict_lo;
+        restrict_hi = Interp2 fc.Tensors.restrict_hi;
+        face = Interp3 fc.Tensors.triple;
+        lift_lo = Interp2 fc.Tensors.lift_lo;
+        lift_hi = Interp2 fc.Tensors.lift_hi;
         mults = 0;
       }
+
+(* The flux of one face in face form (Tensors.face), written to
+   [face.(2 nf ..)]: with a = R_hi f_L and b = R_lo f_R the face traces,
+     S = a + b,   J = b - a,   G = rdx (F alpha S) - lam rdx J.
+   [face] is the sweep's face scratch: traces, then S and J in place,
+   then G.  Allocates nothing. *)
+let face_flux (ops : dir_ops) ~rdx ~lam (alpha : float array)
+    (fd : float array) ~foff_l ~foff_r (face : float array) =
+  let nf = ops.nface in
+  Array.fill face 0 (3 * nf) 0.0;
+  apply_t2 ops.restrict_hi ~scale:1.0 fd ~foff:foff_l face ~ooff:0;
+  apply_t2 ops.restrict_lo ~scale:1.0 fd ~foff:foff_r face ~ooff:nf;
+  for k = 0 to nf - 1 do
+    let a = Array.unsafe_get face k and b = Array.unsafe_get face (nf + k) in
+    Array.unsafe_set face k (a +. b);
+    Array.unsafe_set face (nf + k) (b -. a)
+  done;
+  apply_t3 ops.face ~scale:rdx alpha face ~foff:0 face ~ooff:(2 * nf);
+  if lam <> 0.0 then begin
+    let s = lam *. rdx and g = 2 * nf in
+    for k = 0 to nf - 1 do
+      Array.unsafe_set face (g + k)
+        (Array.unsafe_get face (g + k) -. (s *. Array.unsafe_get face (nf + k)))
+    done
+  end

@@ -1,10 +1,9 @@
 (** Kernel dispatch: specialized unrolled kernels (lib/genkernels) when the
     registry has a bundle for [(family, poly_order, cdim, vdim, dir)],
-    interpreted sparse tensors otherwise.  The registry holds only the
-    directions within the emitter's I-cache budget
-    ([Dg_codegen.Codegen.mult_budget]), where unrolling was measured to
-    win, so a hit needs no further check.  Selected once per direction at
-    solver creation — the hot path pays a single constructor match. *)
+    interpreted sparse tensors otherwise.  The registry holds every
+    direction of every standard configuration
+    ([Dg_codegen.Codegen.standard_configs]).  Selected once per direction
+    at solver creation — the hot path pays a single constructor match. *)
 
 module K = Dg_genkernels.Kernels
 module Layout = Dg_kernels.Layout
@@ -35,14 +34,12 @@ type dir_ops = {
   vol_stream : K.stream_fn option;
       (** specialized streaming volume kernel (configuration directions of
           specialized bundles): takes cell geometry, not a flux expansion *)
-  surf_ll : t3_op;
-  surf_lr : t3_op;
-  surf_rl : t3_op;
-  surf_rr : t3_op;
-  pen_ll : t2_op;
-  pen_lr : t2_op;
-  pen_rl : t2_op;
-  pen_rr : t2_op;
+  nface : int;  (** face-basis size (scratch length of the face ops) *)
+  restrict_lo : t2_op;  (** face <- volume trace at xi_dir = -1 *)
+  restrict_hi : t2_op;  (** face <- volume trace at xi_dir = +1 *)
+  face : t3_op;  (** the face triple: (face row, alpha index, face column) *)
+  lift_lo : t2_op;  (** volume <- face, into the cell above the face *)
+  lift_hi : t2_op;  (** volume <- face, into the cell below the face *)
   mults : int;  (** multiplications per cell-direction update; 0 if interpreted *)
 }
 
@@ -57,3 +54,21 @@ val make : use_generated:bool -> Layout.t -> dir:int -> Tensors.dir_kernels -> d
     [kernels.cse_saved_mults] (multiplications the codegen CSE pass
     removed) and [kernels.chunks] (part functions emitted) per specialized
     direction. *)
+
+val face_flux :
+  dir_ops ->
+  rdx:float ->
+  lam:float ->
+  float array ->
+  float array ->
+  foff_l:int ->
+  foff_r:int ->
+  float array ->
+  unit
+(** [face_flux ops ~rdx ~lam alpha f ~foff_l ~foff_r face]: the numerical
+    flux of the face between the cells at [foff_l] (below) and [foff_r]
+    (above), on the face basis.  With a = R_hi f_L and b = R_lo f_R it
+    forms S = a + b and J = b - a in [face.(0 ..)] and [face.(nface ..)],
+    then G = rdx (F alpha S) - lam rdx J in [face.(2 nface ..)], from
+    which [lift_hi] (scale -1) updates the lower cell and [lift_lo] the
+    upper one.  [face] needs [3 * nface] floats; nothing is allocated. *)

@@ -226,21 +226,151 @@ let volume_diffusion2 basis ~support ~dir =
   build_t3 basis ~support ~dir ~factor_dir:(fun md nd ld ->
       tb.Leg.d2trip.(md).(nd).(ld))
 
-(* All tensors needed for one phase-space direction, bundled. *)
+(* --- the face form of the surface term -------------------------------- *)
+
+(* The flux expansion alpha never depends on the face-normal coordinate
+   xi_dir on the face it is traced to, and every basis function is a
+   product over dimensions, so the surface integral of
+   T^{dir,(s_l, s_n)} factors exactly through the (pdim-1)-dimensional
+   face basis (the distinct face-tangential parts of the basis
+   multi-indices):
+     restrict  (R_s f)_j      = sum_{n : n_perp = j} edge(n_dir, s) f_n,
+     flux      G_k            = sum_{m, j} F_{kmj} alpha_m S_j,   S = R_hi f_L + R_lo f_R,
+                F_{kmj}       = edge(m_dir, +1) prod_{i<>dir} int P~_{m_i} P~_{j_i} P~_{k_i},
+     lift      (L_s G)_l      = edge(l_dir, s) G_{l_perp},
+   so that T^{(s_l, s_n)} = L_{s_l} F R_{s_n} and the penalty tensor
+   P^{(s_l, s_n)} = L_{s_l} R_{s_n}: entry for entry, with the same 1D
+   factors.  A face applies N_p entries per restriction and lift plus the
+   face triple: 1,984 nonzeros per 2X3V p=2 acceleration face, where the
+   four volume-lifted surface tensors and four penalty tensors applied
+   36,416.
+
+   [face_entries] is generic over the scalar type so the exact rational form
+   (unnormalized Legendre tables) comes from the same code as the float
+   kernels. *)
+
+(* The 1D ingredients of a face form: the basis polynomial of degree n at
+   the reference-cell edge, and int P_a P_b P_c over [-1, 1]. *)
+type 'a face_scalars = {
+  mul : 'a -> 'a -> 'a;
+  is_zero : 'a -> bool;
+  edge_at : int -> side -> 'a;
+  trip_at : int -> int -> int -> 'a;
+}
+
+type 'a face_entries = {
+  face_of : int array; (* face index of each volume basis function *)
+  n_face : int;
+  r_lo : (int * int * 'a) list; (* restriction: (face row j, volume col n, c) *)
+  r_hi : (int * int * 'a) list;
+  tri : (int * int * int * 'a) list; (* (face row k, alpha m, face col j, c) *)
+  l_lo : (int * int * 'a) list; (* lift: (volume row l, face col k, c) *)
+  l_hi : (int * int * 'a) list;
+}
+
+(* Face indices number the distinct face-tangential multi-indices in
+   order of first appearance in the basis. *)
+let face_entries (sc : 'a face_scalars) basis ~support ~dir =
+  let np = Modal.num_basis basis in
+  let dim = Modal.dim basis in
+  let mis = Array.init np (fun k -> Mi.to_array (Modal.index basis k)) in
+  let tangential k =
+    let a = Array.copy mis.(k) in
+    a.(dir) <- 0;
+    a
+  in
+  let seen = Hashtbl.create 64 in
+  let faces = ref [] in
+  let face_of =
+    Array.init np (fun k ->
+        let key = tangential k in
+        match Hashtbl.find_opt seen key with
+        | Some j -> j
+        | None ->
+            let j = Hashtbl.length seen in
+            Hashtbl.add seen key j;
+            faces := key :: !faces;
+            j)
+  in
+  let fmis = Array.of_list (List.rev !faces) in
+  let nface = Array.length fmis in
+  let restrict s =
+    List.init np (fun n -> (face_of.(n), n, sc.edge_at mis.(n).(dir) s))
+  in
+  let lift s =
+    List.init np (fun l -> (l, face_of.(l), sc.edge_at mis.(l).(dir) s))
+  in
+  let triple = ref [] in
+  for k = 0 to nface - 1 do
+    Array.iter
+      (fun m ->
+        for j = 0 to nface - 1 do
+          let c = ref (sc.edge_at mis.(m).(dir) Hi) in
+          (try
+             for i = 0 to dim - 1 do
+               if i <> dir then begin
+                 c := sc.mul !c (sc.trip_at mis.(m).(i) fmis.(j).(i) fmis.(k).(i));
+                 if sc.is_zero !c then raise Exit
+               end
+             done
+           with Exit -> ());
+          if not (sc.is_zero !c) then triple := (k, m, j, !c) :: !triple
+        done)
+      support
+  done;
+  {
+    face_of;
+    n_face = nface;
+    r_lo = restrict Lo;
+    r_hi = restrict Hi;
+    tri = List.rev !triple;
+    l_lo = lift Lo;
+    l_hi = lift Hi;
+  }
+
+(* One direction's face form over the normalized basis. *)
+type face = {
+  nface : int; (* face-basis size *)
+  restrict_lo : Sparse.t2; (* face <- volume: trace at xi_dir = -1 *)
+  restrict_hi : Sparse.t2; (* face <- volume: trace at xi_dir = +1 *)
+  triple : Sparse.t3; (* (face row, volume alpha index, face column) *)
+  lift_lo : Sparse.t2; (* volume <- face, weighted by P~_{l_dir}(-1) *)
+  lift_hi : Sparse.t2; (* volume <- face, weighted by P~_{l_dir}(+1) *)
+}
+
+let face basis ~support ~dir =
+  let tb = tables_for basis in
+  let e =
+    face_entries
+      {
+        mul = ( *. );
+        is_zero = (fun c -> c = 0.0);
+        edge_at = edge tb;
+        trip_at = (fun a b c -> tb.Leg.trip.(a).(b).(c));
+      }
+      basis ~support ~dir
+  in
+  {
+    nface = e.n_face;
+    restrict_lo = Sparse.t2_of_list e.r_lo;
+    restrict_hi = Sparse.t2_of_list e.r_hi;
+    triple = Sparse.t3_of_list e.tri;
+    lift_lo = Sparse.t2_of_list e.l_lo;
+    lift_hi = Sparse.t2_of_list e.l_hi;
+  }
+
+let face_nnz fc =
+  Sparse.t2_nnz fc.restrict_lo + Sparse.t2_nnz fc.restrict_hi
+  + Sparse.t3_nnz fc.triple + Sparse.t2_nnz fc.lift_lo
+  + Sparse.t2_nnz fc.lift_hi
+
+(* All tensors needed for one phase-space direction, bundled: the volume
+   tensor and the face form of the surface and penalty terms. *)
 type dir_kernels = {
   dir : int;
   support : int array;
   vol : Sparse.t3;
-  (* surface flux tensors, indexed by (cell being updated, trace side):
-     updating L at its Hi face / updating R at its Lo face *)
-  surf_ll : Sparse.t3; (* out_L, trace from L (s_l=Hi, s_n=Hi) *)
-  surf_lr : Sparse.t3; (* out_L, trace from R (s_l=Hi, s_n=Lo) *)
-  surf_rl : Sparse.t3; (* out_R, trace from L (s_l=Lo, s_n=Hi) *)
-  surf_rr : Sparse.t3; (* out_R, trace from R (s_l=Lo, s_n=Lo) *)
-  pen_ll : Sparse.t2;
-  pen_lr : Sparse.t2;
-  pen_rl : Sparse.t2;
-  pen_rr : Sparse.t2;
+  face : face;
 }
 
 let make_dir (lay : Layout.t) ~dir =
@@ -249,27 +379,11 @@ let make_dir (lay : Layout.t) ~dir =
     if Layout.is_config_dir lay dir then streaming_support lay ~dir
     else acceleration_support lay ~vdir:dir
   in
-  {
-    dir;
-    support;
-    vol = volume basis ~support ~dir;
-    surf_ll = surface basis ~support ~dir ~s_l:Hi ~s_n:Hi;
-    surf_lr = surface basis ~support ~dir ~s_l:Hi ~s_n:Lo;
-    surf_rl = surface basis ~support ~dir ~s_l:Lo ~s_n:Hi;
-    surf_rr = surface basis ~support ~dir ~s_l:Lo ~s_n:Lo;
-    pen_ll = penalty basis ~dir ~s_l:Hi ~s_n:Hi;
-    pen_lr = penalty basis ~dir ~s_l:Hi ~s_n:Lo;
-    pen_rl = penalty basis ~dir ~s_l:Lo ~s_n:Hi;
-    pen_rr = penalty basis ~dir ~s_l:Lo ~s_n:Lo;
-  }
+  { dir; support; vol = volume basis ~support ~dir; face = face basis ~support ~dir }
 
 (* Total non-zero count across a direction's tensors (sparsity metric for
    the N_p scaling study, Fig. 2). *)
-let dir_nnz k =
-  Sparse.t3_nnz k.vol + Sparse.t3_nnz k.surf_ll + Sparse.t3_nnz k.surf_lr
-  + Sparse.t3_nnz k.surf_rl + Sparse.t3_nnz k.surf_rr
-  + Sparse.t2_nnz k.pen_ll + Sparse.t2_nnz k.pen_lr + Sparse.t2_nnz k.pen_rl
-  + Sparse.t2_nnz k.pen_rr
+let dir_nnz k = Sparse.t3_nnz k.vol + face_nnz k.face
 
 (* --- velocity-space integral tables ------------------------------------ *)
 

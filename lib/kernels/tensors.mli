@@ -59,20 +59,61 @@ val surface_stencil :
 (** Face tensor whose normal-direction distribution trace is an arbitrary
     1D stencil (recovery value/slope stencils). *)
 
+(** {1 The face form of the Vlasov surface term}
+
+    alpha does not depend on the face-normal coordinate, so each face
+    integral factors exactly: restrict f_L and f_R to the
+    (pdim-1)-dimensional face basis, form one flux there, and lift it back
+    into both cells.  [surface ~s_l ~s_n] equals lift(s_l) . triple .
+    restrict(s_n) and [penalty ~s_l ~s_n] equals lift(s_l) .
+    restrict(s_n), entry for entry. *)
+
+type 'a face_scalars = {
+  mul : 'a -> 'a -> 'a;
+  is_zero : 'a -> bool;
+  edge_at : int -> side -> 'a;  (** 1D basis polynomial of degree n at -1 / +1 *)
+  trip_at : int -> int -> int -> 'a;  (** int_{-1}^{1} P_a P_b P_c *)
+}
+(** The 1D ingredients of a face form, over any scalar type. *)
+
+type 'a face_entries = {
+  face_of : int array;  (** face index of each volume basis function *)
+  n_face : int;  (** face-basis size *)
+  r_lo : (int * int * 'a) list;  (** restriction: (face row, volume col, c) *)
+  r_hi : (int * int * 'a) list;
+  tri : (int * int * int * 'a) list;
+      (** face triple: (face row, alpha index, face col, c), with
+          edge(m_dir, +1) folded into c *)
+  l_lo : (int * int * 'a) list;  (** lift: (volume row, face col, c) *)
+  l_hi : (int * int * 'a) list;
+}
+
+val face_entries :
+  'a face_scalars -> Modal.t -> support:int array -> dir:int -> 'a face_entries
+(** The face form's entries from the given 1D scalars: the float kernels
+    use the normalized Legendre tables, the exact-table tests rationals
+    over unnormalized Legendre polynomials.  Face indices number the
+    distinct face-tangential multi-indices in order of first appearance. *)
+
+type face = {
+  nface : int;
+  restrict_lo : Sparse.t2;  (** face <- volume, trace at xi_dir = -1 *)
+  restrict_hi : Sparse.t2;  (** face <- volume, trace at xi_dir = +1 *)
+  triple : Sparse.t3;  (** (face row, volume alpha index, face column) *)
+  lift_lo : Sparse.t2;  (** volume <- face, weights P~_{l_dir}(-1) *)
+  lift_hi : Sparse.t2;  (** volume <- face, weights P~_{l_dir}(+1) *)
+}
+
+val face : Modal.t -> support:int array -> dir:int -> face
+val face_nnz : face -> int
+
 (** {1 Per-direction bundles} *)
 
 type dir_kernels = {
   dir : int;
   support : int array;
   vol : Sparse.t3;
-  surf_ll : Sparse.t3;
-  surf_lr : Sparse.t3;
-  surf_rl : Sparse.t3;
-  surf_rr : Sparse.t3;
-  pen_ll : Sparse.t2;
-  pen_lr : Sparse.t2;
-  pen_rl : Sparse.t2;
-  pen_rr : Sparse.t2;
+  face : face;
 }
 
 val make_dir : Layout.t -> dir:int -> dir_kernels

@@ -20,7 +20,7 @@
    3. Spans nest.  A span key is the "/"-joined path of enclosing span
       names in the recording domain, so one aggregation table yields the
       whole call tree.  [add_time] lets hand-rolled phase timers (the
-      fused Vlasov sweep times volume/surface/penalty/fill_alpha without
+      fused Vlasov sweep times volume/surface/fill_alpha without
       entering a span per cell) file pre-aggregated time under the
       current path. *)
 

@@ -46,6 +46,7 @@ type t = {
   accel : Flux.accel_ctx array; (* one projection map per velocity dim *)
   np : int;
   nc : int;
+  nface_max : int; (* largest face basis over the directions *)
 }
 
 (* Phase timers of one sweep while tracing: slot 0 holds the running mark,
@@ -53,7 +54,6 @@ type t = {
 let ph_fill = 1
 let ph_vol = 2
 let ph_surf = 3
-let ph_pen = 4
 
 let[@inline] mark tr (ph : float array) = if tr then ph.(0) <- Obs.now ()
 
@@ -119,6 +119,7 @@ let create ?(flux = Upwind) ?(use_kernels = true) ~qm (lay : Layout.t) =
     accel = Array.init lay.Layout.vdim (fun vdir -> Flux.make_accel_ctx lay ~vdir ~qm);
     np = Layout.num_basis lay;
     nc = Layout.num_cbasis lay;
+    nface_max = Array.fold_left (fun m o -> max m o.Dispatch.nface) 0 ops;
   }
 
 let layout t = t.lay
@@ -184,7 +185,6 @@ let file_sweep t ~ncells ~(em : Field.t option) (ph : float array) =
   Obs.add_time "fill_alpha" ~seconds:ph.(ph_fill) ~count:n_fill;
   Obs.add_time "volume" ~seconds:ph.(ph_vol) ~count:n_fill;
   Obs.add_time "surface" ~seconds:ph.(ph_surf) ~count:n_fill;
-  Obs.add_time "penalty" ~seconds:ph.(ph_pen) ~count:n_fill;
   Obs.count "rhs.sweeps" 1;
   Obs.count "rhs.cells" ncells;
   Obs.count "rhs.fill_alpha" n_fill;
@@ -202,7 +202,9 @@ let file_sweep t ~ncells ~(em : Field.t option) (ph : float array) =
    lower face (streaming: v is globally linear with the face-tangential
    velocity coordinates shared; acceleration: independent of the face-normal
    velocity coordinate and of the configuration cell it straddles), so one
-   [fill_alpha] serves the volume term and both sides of the face.  The
+   [fill_alpha] serves the volume term and both sides of the face.  Each
+   face restricts both cells' traces to the face basis, forms one flux G
+   there ([face_flux]) and lifts it: out_L -= L_hi G, out_R += L_lo G.  The
    tracing flag is read once per call; when it is off every phase timer is
    one predictable branch. *)
 let rhs t ~(f : Field.t) ~(em : Field.t option) ~(out : Field.t) =
@@ -215,11 +217,12 @@ let rhs t ~(f : Field.t) ~(em : Field.t option) ~(out : Field.t) =
   let pdim = lay.Layout.pdim and cdim = lay.Layout.cdim in
   let fd = Field.data f and od = Field.data out in
   (* per-call scratch: flux expansion, velocity-cell centers, neighbour
-     coordinates, configuration coordinates (EM cell lookup), and the
-     phase timers while tracing *)
+     coordinates, configuration coordinates (EM cell lookup), the face
+     traces and flux, and the phase timers while tracing *)
   let alpha = Array.make t.np 0.0 and vcenter = Array.make lay.Layout.vdim 0.0 in
   let cl = Array.make pdim 0 and cc = Array.make cdim 0 in
-  let ph = Array.make (ph_pen + 1) 0.0 in
+  let face = Array.make (3 * t.nface_max) 0.0 in
+  let ph = Array.make (ph_surf + 1) 0.0 in
   Field.fill out 0.0;
   Grid.iter_cells grid (fun _ c ->
       let foff = Field.unsafe_cell_offset f c in
@@ -231,6 +234,7 @@ let rhs t ~(f : Field.t) ~(em : Field.t option) ~(out : Field.t) =
         if is_cfg || em <> None then begin
           let ops = t.ops.(dir) in
           let rdx = 1.0 /. dx.(dir) in
+          let gof = 2 * ops.Dispatch.nface in
           mark tr ph;
           fill_alpha t ~dir c ~em ~cc vcenter alpha;
           tick tr ph ph_fill;
@@ -248,65 +252,32 @@ let rhs t ~(f : Field.t) ~(em : Field.t option) ~(out : Field.t) =
           (* lower face of cell [c]: L = c - e_dir (possibly ghost), R = c;
              velocity directions use zero-flux domain boundaries *)
           if not ((not is_cfg) && c.(dir) = 0) then begin
+            mark tr ph;
             Array.blit c 0 cl 0 pdim;
             cl.(dir) <- c.(dir) - 1;
-            let foff_l = Field.unsafe_cell_offset f cl in
             let lam = face_speed t ~dir vcenter alpha in
-            (* update left cell (skip if ghost) *)
-            if cl.(dir) >= 0 then begin
-              let ooff_l = Field.unsafe_cell_offset out cl in
-              mark tr ph;
-              Dispatch.apply_t3 ops.Dispatch.surf_ll ~scale:(-.rdx) alpha fd
-                ~foff:foff_l od ~ooff:ooff_l;
-              Dispatch.apply_t3 ops.Dispatch.surf_lr ~scale:(-.rdx) alpha fd
-                ~foff od ~ooff:ooff_l;
-              tick tr ph ph_surf;
-              if lam <> 0.0 then begin
-                mark tr ph;
-                Dispatch.apply_t2 ops.Dispatch.pen_lr ~scale:(lam *. rdx) fd
-                  ~foff od ~ooff:ooff_l;
-                Dispatch.apply_t2 ops.Dispatch.pen_ll ~scale:(-.lam *. rdx) fd
-                  ~foff:foff_l od ~ooff:ooff_l;
-                tick tr ph ph_pen
-              end
-            end;
-            (* update right cell *)
-            mark tr ph;
-            Dispatch.apply_t3 ops.Dispatch.surf_rl ~scale:rdx alpha fd
-              ~foff:foff_l od ~ooff;
-            Dispatch.apply_t3 ops.Dispatch.surf_rr ~scale:rdx alpha fd ~foff od
+            Dispatch.face_flux ops ~rdx ~lam alpha fd
+              ~foff_l:(Field.unsafe_cell_offset f cl) ~foff_r:foff face;
+            (* update the left cell unless it is a ghost *)
+            if cl.(dir) >= 0 then
+              Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face
+                ~foff:gof od ~ooff:(Field.unsafe_cell_offset out cl);
+            Dispatch.apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od
               ~ooff;
-            tick tr ph ph_surf;
-            if lam <> 0.0 then begin
-              mark tr ph;
-              Dispatch.apply_t2 ops.Dispatch.pen_rr ~scale:(-.lam *. rdx) fd
-                ~foff od ~ooff;
-              Dispatch.apply_t2 ops.Dispatch.pen_rl ~scale:(lam *. rdx) fd
-                ~foff:foff_l od ~ooff;
-              tick tr ph ph_pen
-            end
+            tick tr ph ph_surf
           end;
           (* upper boundary face (config directions only; ghost data):
              L = c (interior), R = ghost *)
           if is_cfg && c.(dir) = cells.(dir) - 1 then begin
+            mark tr ph;
             Array.blit c 0 cl 0 pdim;
             cl.(dir) <- c.(dir) + 1;
-            let foff_r = Field.unsafe_cell_offset f cl in
             let lam = face_speed t ~dir vcenter alpha in
-            mark tr ph;
-            Dispatch.apply_t3 ops.Dispatch.surf_ll ~scale:(-.rdx) alpha fd
-              ~foff od ~ooff;
-            Dispatch.apply_t3 ops.Dispatch.surf_lr ~scale:(-.rdx) alpha fd
-              ~foff:foff_r od ~ooff;
-            tick tr ph ph_surf;
-            if lam <> 0.0 then begin
-              mark tr ph;
-              Dispatch.apply_t2 ops.Dispatch.pen_lr ~scale:(lam *. rdx) fd
-                ~foff:foff_r od ~ooff;
-              Dispatch.apply_t2 ops.Dispatch.pen_ll ~scale:(-.lam *. rdx) fd
-                ~foff od ~ooff;
-              tick tr ph ph_pen
-            end
+            Dispatch.face_flux ops ~rdx ~lam alpha fd ~foff_l:foff
+              ~foff_r:(Field.unsafe_cell_offset f cl) face;
+            Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof
+              od ~ooff;
+            tick tr ph ph_surf
           end
         end
       done);

@@ -57,8 +57,9 @@ val rhs : t -> f:Field.t -> em:Field.t option -> out:Field.t -> unit
     holds the EM coefficients on the configuration grid (8 blocks:
     Ex..Bz, phi, psi); [None] solves pure streaming (velocity directions
     skipped).  With [Dg_obs] tracing on, the same sweep also files
-    per-phase times (fill_alpha, volume, surface, penalty) and sweep
-    counters under the caller's current span. *)
+    per-phase times (fill_alpha, volume, surface) and sweep counters under
+    the caller's current span; the penalty is part of the face flux, so
+    it has no phase of its own. *)
 
 val max_speeds : t -> em:Field.t option -> float array
 (** Per-direction maximum characteristic speeds for the CFL condition.

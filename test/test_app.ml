@@ -222,6 +222,21 @@ let test_project_config_bitwise () =
     "aeaf1fab4d0b76e72bb924cdc824b2fd"
     (digest (Field.data em))
 
+(* The user's vector function runs once per Gauss point per cell, not once
+   per component: calls = Gauss points x cells. *)
+let test_project_config_calls () =
+  let lay = layout ~cdim:2 ~vdim:2 ~p:2 ~cells_c:3 ~cells_v:2 in
+  let em = Field.create lay.Layout.cgrid ~ncomp:(8 * Layout.num_cbasis lay) in
+  let calls = ref 0 in
+  App.project_config lay ~ncomp_vec:8 em ~f:(fun x ->
+      incr calls;
+      Array.make 8 x.(0));
+  (* the default rule: poly_order + 3 points per dimension *)
+  let points = Dg_util.Combi.pow_int (2 + 3) lay.Layout.cdim in
+  Alcotest.(check int) "one call per Gauss point per cell"
+    (points * Grid.num_cells lay.Layout.cgrid)
+    !calls
+
 let test_poisson_e_bitwise () =
   let module Sc = Dg_scenarios.Scenarios in
   let app = App.create ((Sc.find_exn "landau").Sc.spec Sc.default_knobs) in
@@ -263,6 +278,8 @@ let () =
         [
           Alcotest.test_case "project_phase" `Quick test_project_phase_bitwise;
           Alcotest.test_case "project_config" `Quick test_project_config_bitwise;
+          Alcotest.test_case "project_config calls f once per point" `Quick
+            test_project_config_calls;
           Alcotest.test_case "Poisson_es E" `Quick test_poisson_e_bitwise;
           Alcotest.test_case "BGK rhs" `Quick test_bgk_rhs_bitwise;
         ] );

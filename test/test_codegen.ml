@@ -1,8 +1,8 @@
 (* The generated unrolled kernels must agree with the interpreted sparse
    tensors exactly (same entries, different execution strategy) for every
-   direction the registry holds, the registry must hold exactly the
-   standard-configuration directions within the emitter's mult budget, and
-   the emitted source must be well-formed.  lib/genkernels is built from
+   direction the registry holds, the registry must hold every direction of
+   every standard configuration, and the emitted source must be
+   well-formed.  lib/genkernels is built from
    the emitter at build time, so these checks on the compiled registry are
    what guard the emitter. *)
 
@@ -83,60 +83,43 @@ let check_accel ~cdim ~vdim ~family ~p ~dir =
     check_arrays "accel kernel" out_gen out_ref
   done
 
-(* One surface bundle vs interpreted, including non-zero offsets. *)
-let check_surfaces ~cdim ~vdim ~family ~p ~dir =
+(* One direction's five face kernels vs interpreted, including non-zero
+   offsets. *)
+let check_faces ~cdim ~vdim ~family ~p ~dir =
   let lay = layout ~cdim ~vdim ~family ~p in
   let np = Layout.num_basis lay in
-  let dk = Tensors.make_dir lay ~dir in
+  let fc = (Tensors.make_dir lay ~dir).Tensors.face in
   let b = bundle ~cdim ~vdim ~family ~p ~dir in
   let rng = Random.State.make [| 31 |] in
   let foff = np and ooff = 2 * np in
-  let pairs3 =
-    [
-      ("surf_ll", b.Gen.surf_ll, dk.Tensors.surf_ll);
-      ("surf_lr", b.Gen.surf_lr, dk.Tensors.surf_lr);
-      ("surf_rl", b.Gen.surf_rl, dk.Tensors.surf_rl);
-      ("surf_rr", b.Gen.surf_rr, dk.Tensors.surf_rr);
-    ]
-  in
-  let pairs2 =
-    [
-      ("pen_ll", b.Gen.pen_ll, dk.Tensors.pen_ll);
-      ("pen_lr", b.Gen.pen_lr, dk.Tensors.pen_lr);
-      ("pen_rl", b.Gen.pen_rl, dk.Tensors.pen_rl);
-      ("pen_rr", b.Gen.pen_rr, dk.Tensors.pen_rr);
-    ]
-  in
   let f = Array.init (4 * np) (fun _ -> Random.State.float rng 2.0 -. 1.0) in
   let alpha = Array.init np (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+  let out () = Array.make (4 * np) 0.0 in
+  let out_ref = out () and out_gen = out () in
+  Sparse.apply_t3_off fc.Tensors.triple ~scale:0.7 alpha f ~foff out_ref ~ooff;
+  b.Gen.face ~scale:0.7 alpha f ~foff out_gen ~ooff;
+  check_arrays "face" out_gen out_ref;
   List.iter
     (fun (name, gen, interp) ->
-      let out_ref = Array.make (4 * np) 0.0 and out_gen = Array.make (4 * np) 0.0 in
-      Sparse.apply_t3_off interp ~scale:0.7 alpha f ~foff out_ref ~ooff;
-      gen ~scale:0.7 alpha f ~foff out_gen ~ooff;
-      check_arrays name out_gen out_ref)
-    pairs3;
-  List.iter
-    (fun (name, gen, interp) ->
-      let out_ref = Array.make (4 * np) 0.0 and out_gen = Array.make (4 * np) 0.0 in
+      let out_ref = out () and out_gen = out () in
       Sparse.apply_t2_off interp ~scale:(-1.3) f ~foff out_ref ~ooff;
       gen ~scale:(-1.3) f ~foff out_gen ~ooff;
       check_arrays name out_gen out_ref)
-    pairs2
-
-let in_registry ~cdim ~vdim ~family ~p ~dir =
-  Gen.find ~family:(Modal.family_name family) ~poly_order:p ~cdim ~vdim ~dir
-  <> None
+    [
+      ("restrict_lo", b.Gen.restrict_lo, fc.Tensors.restrict_lo);
+      ("restrict_hi", b.Gen.restrict_hi, fc.Tensors.restrict_hi);
+      ("lift_lo", b.Gen.lift_lo, fc.Tensors.lift_lo);
+      ("lift_hi", b.Gen.lift_hi, fc.Tensors.lift_hi);
+    ]
 
 (* Run [check] on every direction of every standard configuration that
-   [select] admits and the registry holds ("registry holds exactly the
-   directions within the mult budget" pins which those are). *)
+   [select] admits ("registry covers advertised configs" pins that the
+   registry holds them all). *)
 let for_standard_dirs ~select check =
   List.iter
     (fun (family, p, cdim, vdim) ->
       for dir = 0 to cdim + vdim - 1 do
-        if select ~cdim dir && in_registry ~cdim ~vdim ~family ~p ~dir then
-          check ~cdim ~vdim ~family ~p ~dir
+        if select ~cdim dir then check ~cdim ~vdim ~family ~p ~dir
       done)
     Codegen.standard_configs
 
@@ -146,14 +129,12 @@ let test_generated_streaming () =
 let test_generated_accel () =
   for_standard_dirs ~select:(fun ~cdim dir -> dir >= cdim) check_accel
 
-let test_generated_surfaces () =
-  for_standard_dirs ~select:(fun ~cdim:_ _ -> true) check_surfaces
+let test_generated_faces () =
+  for_standard_dirs ~select:(fun ~cdim:_ _ -> true) check_faces
 
-(* The emission rule: a standard-configuration direction is in the
-   registry if and only if its post-CSE mult count fits
-   [Codegen.mult_budget], its bundle carries the emitter's counts, and no
-   bundle exceeds the budget.  The directions left out are exactly the two
-   2x2v p2 tensor acceleration directions (~62k mults each). *)
+(* The emission rule: every direction of every standard configuration is
+   in the registry and its bundle carries the emitter's counts; the set
+   of directions left out is empty. *)
 let test_registry_complete () =
   let left_out = ref [] in
   List.iter
@@ -162,12 +143,8 @@ let test_registry_complete () =
       let name = Modal.family_name family in
       for dir = 0 to cdim + vdim - 1 do
         let st = Codegen.dir_stats lay ~dir in
-        let fits = st.Codegen.cse_mults <= Codegen.mult_budget in
         match Gen.find ~family:name ~poly_order:p ~cdim ~vdim ~dir with
         | Some b ->
-            if not fits then
-              Alcotest.failf "%s p=%d %dx%dv dir %d: %d mults over budget %d"
-                name p cdim vdim dir st.Codegen.cse_mults Codegen.mult_budget;
             if b.Gen.mults <> st.Codegen.cse_mults
                || b.Gen.mults_raw <> st.Codegen.raw_mults
             then
@@ -182,20 +159,13 @@ let test_registry_complete () =
               Alcotest.failf "%s p=%d %dx%dv dir %d: no chunks" name p cdim
                 vdim dir
         | None ->
-            if fits then
-              Alcotest.failf
-                "%s p=%d %dx%dv dir %d (%d mults) fits the budget but is \
-                 missing from the registry"
-                name p cdim vdim dir st.Codegen.cse_mults;
             left_out :=
               Printf.sprintf "%dx%dv p%d %s dir %d" cdim vdim p name dir
               :: !left_out
       done)
     Codegen.standard_configs;
   Alcotest.(check (list string))
-    "directions left out of the registry"
-    [ "2x2v p2 tensor dir 2"; "2x2v p2 tensor dir 3" ]
-    (List.rev !left_out);
+    "directions left out of the registry" [] (List.rev !left_out);
   (* unsupported family resolves to nothing *)
   Alcotest.(check bool)
     "maximal-order not in registry" true
@@ -244,8 +214,8 @@ let () =
             test_generated_streaming;
           Alcotest.test_case "acceleration kernels match tensors" `Quick
             test_generated_accel;
-          Alcotest.test_case "surface kernels match tensors" `Quick
-            test_generated_surfaces;
+          Alcotest.test_case "face kernels match tensors" `Quick
+            test_generated_faces;
           Alcotest.test_case "registry covers advertised configs" `Quick
             test_registry_complete;
           Alcotest.test_case "multiplication counts (Fig. 1)" `Quick test_mult_counts;

@@ -1,7 +1,7 @@
 (* The dispatched solver (generated unrolled kernels) must agree with the
    interpreted sparse solver on the full right-hand side for EVERY standard
-   configuration, with and without EM fields; directions the registry
-   leaves out must run interpreted transparently; and one solver must be
+   configuration, with and without EM fields; configurations the registry
+   does not hold must run interpreted transparently; and one solver must be
    re-entrant: repeated and concurrent sweeps give identical answers. *)
 
 module Layout = Dg_kernels.Layout
@@ -106,11 +106,6 @@ let test_fallback_config () =
   (* both run the same interpreted tensors: identical, not just close *)
   check_fields ~rtol:0.0 "maximal-order fallback" out_d out_i
 
-(* The directions of 2x2v p2 tensor the registry holds: its streaming
-   directions; the acceleration directions are over Codegen.mult_budget,
-   so they are not generated and run interpreted. *)
-let tensor22_specialized = [| true; true; false; false |]
-
 let test_specialized_dirs () =
   let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 in
   let s = Solver.create ~qm:1.0 lay in
@@ -119,35 +114,15 @@ let test_specialized_dirs () =
     (Array.for_all Fun.id (Solver.specialized_dirs s));
   let lay22 = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 in
   Alcotest.(check (array bool))
-    "2x2v p2 tensor: streaming specialized, acceleration interpreted"
-    tensor22_specialized
+    "2x2v p2 tensor fully specialized" [| true; true; true; true |]
     (Solver.specialized_dirs (Solver.create ~qm:1.0 lay22));
   Alcotest.(check (array bool))
     "use_kernels:false specializes nothing"
     [| false; false; false; false |]
     (Solver.specialized_dirs (Solver.create ~use_kernels:false ~qm:1.0 lay22))
 
-(* The hybrid 2x2v p2 tensor solver (generated streaming, interpreted
-   acceleration) agrees with the pure interpreted solver. *)
-let test_hybrid_rhs () =
-  let lay22 = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 in
-  let s22 = Solver.create ~qm:1.0 lay22 in
-  Alcotest.(check (array bool))
-    "tensor: hybrid dispatch" tensor22_specialized
-    (Solver.specialized_dirs s22);
-  let np = Layout.num_basis lay22 in
-  let si = Solver.create ~use_kernels:false ~qm:1.0 lay22 in
-  let f = random_f lay22 and em = random_em lay22 in
-  let out_h = Field.create lay22.Layout.grid ~ncomp:np in
-  let out_i = Field.create lay22.Layout.grid ~ncomp:np in
-  Solver.rhs s22 ~f ~em:(Some em) ~out:out_h;
-  Solver.rhs si ~f ~em:(Some em) ~out:out_i;
-  check_fields ~rtol:1e-12 "hybrid == interpreted" out_h out_i
-
-(* Dispatch has one rule: a direction of a standard configuration runs its
-   generated kernel exactly when the registry holds a bundle for it, and
-   the only directions the registry leaves out are the two 2x2v p2 tensor
-   acceleration directions. *)
+(* Every direction of every standard configuration runs its generated
+   kernel, and exactly because the registry holds a bundle for it. *)
 let test_standard_configs_dispatched () =
   List.iter
     (fun (family, p, cdim, vdim) ->
@@ -156,30 +131,25 @@ let test_standard_configs_dispatched () =
       Array.iteri
         (fun dir sp ->
           let hit = Dg_dispatch.Dispatch.find_bundle lay ~dir <> None in
-          let expected =
-            not (family = Modal.Tensor && p = 2 && cdim = 2 && dir >= 2)
-          in
-          if sp <> hit || sp <> expected then
+          if not (sp && hit) then
             Alcotest.failf
-              "%dx%dv p=%d %s dir %d: specialized %b, registry hit %b, \
-               expected %b"
-              cdim vdim p (Modal.family_name family) dir sp hit expected)
+              "%dx%dv p=%d %s dir %d: specialized %b, registry hit %b; every \
+               standard direction must run generated"
+              cdim vdim p (Modal.family_name family) dir sp hit)
         (Solver.specialized_dirs s))
     Codegen.standard_configs
 
-(* The hybrid must never lose to the pure interpreted solver.  Its
-   acceleration directions run the identical interpreted path, so the
-   streaming directions' generated kernels can only add speed; allow
-   generous jitter headroom on shared CI.  The two solvers' samples
-   alternate, so load from concurrently running suites lands on both
-   medians alike. *)
-let test_budget_hybrid_never_loses () =
+(* Generated kernels must not lose to the interpreted loops on the
+   largest tensor-basis configuration, 2x2v p2 (its acceleration
+   directions were the slowest unrolled kernels before the surface term
+   went to face form); allow generous jitter headroom on shared CI.  The
+   two solvers' samples alternate, so load from concurrently running
+   suites lands on both medians alike. *)
+let test_generated_never_loses () =
   let lay = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 in
   let np = Layout.num_basis lay in
-  let sh = Solver.create ~use_kernels:true ~qm:1.0 lay in
+  let sg = Solver.create ~use_kernels:true ~qm:1.0 lay in
   let si = Solver.create ~use_kernels:false ~qm:1.0 lay in
-  Alcotest.(check (array bool))
-    "hybrid is active" tensor22_specialized (Solver.specialized_dirs sh);
   let f = random_f lay and em = random_em lay in
   let out = Field.create lay.Layout.grid ~ncomp:np in
   let time_of s =
@@ -188,16 +158,15 @@ let test_budget_hybrid_never_loses () =
     Unix.gettimeofday () -. t0
   in
   ignore (time_of si);
-  ignore (time_of sh);
+  ignore (time_of sg);
   (* median of 5 interleaved samples each *)
-  let pairs = List.init 5 (fun _ -> let ti = time_of si in (ti, time_of sh)) in
+  let pairs = List.init 5 (fun _ -> let ti = time_of si in (ti, time_of sg)) in
   let median l = List.nth (List.sort compare l) 2 in
   let t_interp = median (List.map fst pairs) in
-  let t_hybrid = median (List.map snd pairs) in
-  if t_hybrid > 1.25 *. t_interp then
-    Alcotest.failf
-      "hybrid dispatch lost to pure interpreted: %.0f us vs %.0f us"
-      (t_hybrid *. 1e6) (t_interp *. 1e6)
+  let t_gen = median (List.map snd pairs) in
+  if t_gen > 1.25 *. t_interp then
+    Alcotest.failf "generated kernels lost to interpreted: %.0f us vs %.0f us"
+      (t_gen *. 1e6) (t_interp *. 1e6)
 
 (* With tracing enabled the dispatch counters must show every direction
    specialized and no interpreted cell-direction on a fully generated
@@ -254,9 +223,9 @@ let test_workspace_reentrant () =
   check_fields ~rtol:0.0 "third sweep" out1 out3
 
 (* QCheck: on random states the chunked zero-copy kernels agree with the
-   interpreted path for the paper's 2x2v p2 flagship configs (serendipity,
-   and the tensor hybrid) in every direction — random seed, family, and
-   flux choice per case. *)
+   interpreted path for the paper's 2x2v p2 flagship configs (serendipity
+   and tensor) in every direction — random seed, family, and flux choice
+   per case. *)
 let qcheck_chunked_equivalence =
   let open QCheck in
   let arb = triple (int_bound 10_000) bool bool in
@@ -300,8 +269,6 @@ let test_zero_copy_bitwise () =
       let c = Array.make pdim 1 in
       let foff = Field.offset f c in
       let fblock = Array.sub fd foff np in
-      (* a direction over the emitter's mult budget has no bundle; which
-         ones is pinned by "every standard config dispatched" *)
       for dir = 0 to pdim - 1 do
         match
           Gen.find
@@ -314,10 +281,12 @@ let test_zero_copy_bitwise () =
             let out_blk = Array.make np 0.0 in
             b.Gen.vol ~scale:0.9 alpha fd ~foff out_off ~ooff:foff;
             b.Gen.vol ~scale:0.9 alpha fblock ~foff:0 out_blk ~ooff:0;
-            b.Gen.surf_rr ~scale:(-1.3) alpha fd ~foff out_off ~ooff:foff;
-            b.Gen.surf_rr ~scale:(-1.3) alpha fblock ~foff:0 out_blk ~ooff:0;
-            b.Gen.pen_rr ~scale:0.4 fd ~foff out_off ~ooff:foff;
-            b.Gen.pen_rr ~scale:0.4 fblock ~foff:0 out_blk ~ooff:0;
+            b.Gen.restrict_lo ~scale:(-1.3) fd ~foff out_off ~ooff:foff;
+            b.Gen.restrict_lo ~scale:(-1.3) fblock ~foff:0 out_blk ~ooff:0;
+            b.Gen.face ~scale:0.7 alpha fd ~foff out_off ~ooff:foff;
+            b.Gen.face ~scale:0.7 alpha fblock ~foff:0 out_blk ~ooff:0;
+            b.Gen.lift_hi ~scale:0.4 fd ~foff out_off ~ooff:foff;
+            b.Gen.lift_hi ~scale:0.4 fblock ~foff:0 out_blk ~ooff:0;
             for k = 0 to np - 1 do
               let a = out_off.(foff + k) and bv = out_blk.(k) in
               if Int64.bits_of_float a <> Int64.bits_of_float bv then
@@ -394,12 +363,10 @@ let () =
             test_specialized_dirs;
           Alcotest.test_case "dispatch/fallback counters" `Quick
             test_fallback_counters;
-          Alcotest.test_case "I-cache mult budget hybrid" `Quick
-            test_hybrid_rhs;
           Alcotest.test_case "every standard config dispatched" `Quick
             test_standard_configs_dispatched;
-          Alcotest.test_case "hybrid never loses to interpreted" `Slow
-            test_budget_hybrid_never_loses;
+          Alcotest.test_case "generated never loses to interpreted" `Slow
+            test_generated_never_loses;
           qcheck_chunked_equivalence;
           Alcotest.test_case "zero-copy == block-copy bitwise" `Quick
             test_zero_copy_bitwise;

@@ -143,6 +143,217 @@ let test_penalty_vs_symbolic () =
       [ (Tensors.Hi, Tensors.Hi); (Tensors.Lo, Tensors.Hi) ]
   done
 
+(* --- the face form, exactly ---------------------------------------------- *)
+
+module Rat = Dg_cas.Rat
+module Poly1 = Dg_cas.Poly1
+module Leg = Dg_cas.Legendre
+module Codegen = Dg_codegen.Codegen
+
+(* The 1D scalars over unnormalized Legendre polynomials: P_n(+1) = 1,
+   P_n(-1) = (-1)^n, and the exact rational triple integral. *)
+let rat_scalars =
+  let trip = Hashtbl.create 64 in
+  {
+    Tensors.mul = Rat.mul;
+    is_zero = Rat.is_zero;
+    edge_at =
+      (fun n s ->
+        match s with
+        | Tensors.Hi -> Rat.one
+        | Tensors.Lo -> if n land 1 = 0 then Rat.one else Rat.of_int (-1));
+    trip_at =
+      (fun a b c ->
+        match Hashtbl.find_opt trip (a, b, c) with
+        | Some r -> r
+        | None ->
+            let r =
+              Poly1.integrate_ref
+                (Poly1.mul (Leg.legendre a)
+                   (Poly1.mul (Leg.legendre b) (Leg.legendre c)))
+            in
+            Hashtbl.add trip (a, b, c) r;
+            r);
+  }
+
+let rat_edge n s = rat_scalars.Tensors.edge_at n s
+let rat_trip a b c = rat_scalars.Tensors.trip_at a b c
+
+let add_entry tbl key r =
+  let prev = Option.value ~default:Rat.zero (Hashtbl.find_opt tbl key) in
+  Hashtbl.replace tbl key (Rat.add prev r)
+
+(* Sorted nonzero entries of an accumulated table. *)
+let nonzero tbl =
+  List.sort compare
+    (Hashtbl.fold
+       (fun k r acc -> if Rat.is_zero r then acc else (k, Rat.to_string r) :: acc)
+       tbl [])
+
+(* lift(s_l) . triple . restrict(s_n), summed in Rat. *)
+let composed_surface (e : Rat.t Tensors.face_entries) ~s_l ~s_n =
+  let by_row entries =
+    let t = Hashtbl.create 64 in
+    List.iter (fun (r, c, v) -> Hashtbl.add t r (c, v)) entries;
+    t
+  in
+  let restrict = by_row (if s_n = Tensors.Lo then e.Tensors.r_lo else e.Tensors.r_hi) in
+  let tri = Hashtbl.create 256 in
+  List.iter (fun (k, m, j, v) -> Hashtbl.add tri k (m, j, v)) e.Tensors.tri;
+  let out = Hashtbl.create 1024 in
+  List.iter
+    (fun (l, k, cl) ->
+      List.iter
+        (fun (m, j, ct) ->
+          List.iter
+            (fun (n, cr) -> add_entry out (l, m, n) (Rat.mul cl (Rat.mul ct cr)))
+            (Hashtbl.find_all restrict j))
+        (Hashtbl.find_all tri k))
+    (if s_l = Tensors.Lo then e.Tensors.l_lo else e.Tensors.l_hi);
+  nonzero out
+
+(* lift(s_l) . restrict(s_n), summed in Rat. *)
+let composed_penalty (e : Rat.t Tensors.face_entries) ~s_l ~s_n =
+  let restrict = if s_n = Tensors.Lo then e.Tensors.r_lo else e.Tensors.r_hi in
+  let out = Hashtbl.create 256 in
+  List.iter
+    (fun (l, k, cl) ->
+      List.iter
+        (fun (j, n, cr) -> if j = k then add_entry out (l, n) (Rat.mul cl cr))
+        restrict)
+    (if s_l = Tensors.Lo then e.Tensors.l_lo else e.Tensors.l_hi);
+  nonzero out
+
+(* The old four-tensor form straight from its definition, in Rat:
+   T^{(s_l,s_n)}_{lmn} = edge(l_dir,s_l) edge(m_dir,+1) edge(n_dir,s_n)
+                         prod_{i<>dir} int P_{m_i} P_{n_i} P_{l_i}. *)
+let oracle_surface mis ~support ~dir ~s_l ~s_n =
+  let np = Array.length mis and dim = Array.length mis.(0) in
+  let out = Hashtbl.create 1024 in
+  for l = 0 to np - 1 do
+    Array.iter
+      (fun m ->
+        for n = 0 to np - 1 do
+          let c =
+            ref
+              (Rat.mul (rat_edge mis.(l).(dir) s_l)
+                 (Rat.mul (rat_edge mis.(m).(dir) Tensors.Hi) (rat_edge mis.(n).(dir) s_n)))
+          in
+          for i = 0 to dim - 1 do
+            if i <> dir && not (Rat.is_zero !c) then
+              c := Rat.mul !c (rat_trip mis.(m).(i) mis.(n).(i) mis.(l).(i))
+          done;
+          add_entry out (l, m, n) !c
+        done)
+      support
+  done;
+  nonzero out
+
+(* P^{(s_l,s_n)}_{ln} = edge(l_dir,s_l) edge(n_dir,s_n) delta(l_perp, n_perp). *)
+let oracle_penalty mis ~dir ~s_l ~s_n =
+  let np = Array.length mis and dim = Array.length mis.(0) in
+  let out = Hashtbl.create 256 in
+  for l = 0 to np - 1 do
+    for n = 0 to np - 1 do
+      let same = ref true in
+      for i = 0 to dim - 1 do
+        if i <> dir && mis.(l).(i) <> mis.(n).(i) then same := false
+      done;
+      if !same then
+        add_entry out (l, n)
+          (Rat.mul (rat_edge mis.(l).(dir) s_l) (rat_edge mis.(n).(dir) s_n))
+    done
+  done;
+  nonzero out
+
+let sides = [ Tensors.Hi; Tensors.Lo ]
+
+(* Every standard configuration and direction: restrict . triple . lift
+   equals each of the four old surface tensors and lift . restrict each of
+   the four penalty tensors, coefficient for coefficient in exact
+   arithmetic over unnormalized Legendre polynomials.  The float tables
+   the solver runs are the same entries times the normalization factors
+   sqrt((2n+1)/2) of their own indices (restrict: the normal degree of
+   the volume index; lift likewise; triple: every degree of alpha's
+   index and the tangential degrees of both face indices), whose products
+   give the common N_l N_m N_n of the volume-lifted form. *)
+let test_face_form_exact () =
+  List.iter
+    (fun (family, p, cdim, vdim) ->
+      let lay = make_layout ~cdim ~vdim ~family ~p in
+      let basis = lay.Layout.basis in
+      let np = Modal.num_basis basis in
+      let mis =
+        Array.init np (fun k -> Dg_util.Multi_index.to_array (Modal.index basis k))
+      in
+      let nrm n = Leg.norm_factor n in
+      for dir = 0 to lay.Layout.pdim - 1 do
+        let tag =
+          Printf.sprintf "%dx%dv p%d %s dir %d" cdim vdim p
+            (Modal.family_name family) dir
+        in
+        let dk = Tensors.make_dir lay ~dir in
+        let support = dk.Tensors.support in
+        let e = Tensors.face_entries rat_scalars basis ~support ~dir in
+        List.iter
+          (fun s_l ->
+            List.iter
+              (fun s_n ->
+                let what kind =
+                  Printf.sprintf "%s: %s (s_l=%s, s_n=%s)" tag kind
+                    (if s_l = Tensors.Hi then "Hi" else "Lo")
+                    (if s_n = Tensors.Hi then "Hi" else "Lo")
+                in
+                if
+                  composed_surface e ~s_l ~s_n
+                  <> oracle_surface mis ~support ~dir ~s_l ~s_n
+                then Alcotest.failf "%s differs" (what "lift.triple.restrict");
+                if composed_penalty e ~s_l ~s_n <> oracle_penalty mis ~dir ~s_l ~s_n
+                then Alcotest.failf "%s differs" (what "lift.restrict"))
+              sides)
+          sides;
+        (* the float tables: the same entries in the same order, each the
+           rational value times its normalization *)
+        let fc = dk.Tensors.face in
+        let fmis = Array.make e.Tensors.n_face [||] in
+        Array.iteri (fun l j -> fmis.(j) <- mis.(l)) e.Tensors.face_of;
+        let tangential a = Array.fold_left ( *. ) 1.0 (Array.mapi (fun i d -> if i = dir then 1.0 else nrm d) a) in
+        let check_t2 kind entries (t : Sparse.t2) ~norm =
+          Alcotest.(check int) (tag ^ " " ^ kind ^ " nnz") (List.length entries)
+            (Sparse.t2_nnz t);
+          List.iteri
+            (fun i (r, c, v) ->
+              if t.Sparse.ri.(i) <> r || t.Sparse.ci.(i) <> c then
+                Alcotest.failf "%s %s entry %d: index mismatch" tag kind i;
+              check_close ~tol:1e-14 (tag ^ " " ^ kind)
+                (Rat.to_float v *. norm r c) t.Sparse.vv.(i))
+            entries
+        in
+        check_t2 "restrict_lo" e.Tensors.r_lo fc.Tensors.restrict_lo
+          ~norm:(fun _ n -> nrm mis.(n).(dir));
+        check_t2 "restrict_hi" e.Tensors.r_hi fc.Tensors.restrict_hi
+          ~norm:(fun _ n -> nrm mis.(n).(dir));
+        check_t2 "lift_lo" e.Tensors.l_lo fc.Tensors.lift_lo
+          ~norm:(fun l _ -> nrm mis.(l).(dir));
+        check_t2 "lift_hi" e.Tensors.l_hi fc.Tensors.lift_hi
+          ~norm:(fun l _ -> nrm mis.(l).(dir));
+        Alcotest.(check int) (tag ^ " triple nnz") (List.length e.Tensors.tri)
+          (Sparse.t3_nnz fc.Tensors.triple);
+        List.iteri
+          (fun i (k, m, j, v) ->
+            let t = fc.Tensors.triple in
+            if t.Sparse.li.(i) <> k || t.Sparse.mi.(i) <> m || t.Sparse.ni.(i) <> j
+            then Alcotest.failf "%s triple entry %d: index mismatch" tag i;
+            let norm =
+              Array.fold_left (fun a d -> a *. nrm d) 1.0 mis.(m)
+              *. tangential fmis.(j) *. tangential fmis.(k)
+            in
+            check_close ~tol:1e-14 (tag ^ " triple") (Rat.to_float v *. norm)
+              t.Sparse.cv.(i))
+          e.Tensors.tri
+      done)
+    Codegen.standard_configs
+
 (* The streaming flux expansion reproduces v_d pointwise in the cell. *)
 let test_streaming_alpha () =
   let lay = make_layout ~cdim:1 ~vdim:2 ~family:Modal.Serendipity ~p:2 in
@@ -244,6 +455,8 @@ let () =
           Alcotest.test_case "surface vs symbolic" `Quick test_surface_vs_symbolic;
           Alcotest.test_case "penalty vs symbolic" `Quick test_penalty_vs_symbolic;
           Alcotest.test_case "sparsity" `Quick test_sparsity;
+          Alcotest.test_case "face form == surface/penalty tensors (exact)"
+            `Quick test_face_form_exact;
         ] );
       ( "flux",
         [

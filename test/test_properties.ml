@@ -257,6 +257,122 @@ let prop_weak_mul =
       Dg_util.Float_cmp.array_close ~rtol:1e-10 ~atol:1e-12 ab ba
       && Dg_util.Float_cmp.array_close ~rtol:1e-9 ~atol:1e-11 a_sum ab_ac)
 
+(* The referee: on random small states, every standard configuration
+   (Codegen.standard_configs) x {generated, interpreted} x {Central,
+   Upwind} conserves particle number to a roundoff bound that scales
+   with the DOF count, and at p >= 2 its kinetic-energy rate equals the
+   field work int J.E (paper Eq. 9; both fluxes: the test function |v|^2
+   is continuous across every face, and velocity-domain faces carry no
+   flux). *)
+let referee_state ~family ~p ~cdim ~vdim ~seed =
+  let pdim = cdim + vdim in
+  let cells = Array.init pdim (fun d -> if d < cdim then 2 else 3) in
+  let lower = Array.init pdim (fun d -> if d < cdim then 0.0 else -2.0) in
+  let upper = Array.init pdim (fun d -> if d < cdim then 1.0 else 2.0) in
+  let lay =
+    Layout.make ~cdim ~vdim ~family ~poly_order:p
+      ~grid:(Grid.make ~cells ~lower ~upper)
+  in
+  let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
+  let rng = Random.State.make [| seed |] in
+  let f = Field.create lay.Layout.grid ~ncomp:np in
+  Grid.iter_cells lay.Layout.grid (fun _ c ->
+      for k = 0 to np - 1 do
+        Field.set f c k (Random.State.float rng 2.0 -. 1.0)
+      done);
+  Field.sync_ghosts f
+    (Array.init pdim (fun d ->
+         if d < cdim then (Field.Periodic, Field.Periodic)
+         else (Field.Zero, Field.Zero)));
+  let em = Field.create lay.Layout.cgrid ~ncomp:(8 * nc) in
+  Grid.iter_cells lay.Layout.cgrid (fun _ c ->
+      for k = 0 to (6 * nc) - 1 do
+        Field.set em c k (Random.State.float rng 2.0 -. 1.0)
+      done);
+  Field.sync_ghosts em (Array.make cdim (Field.Periodic, Field.Periodic));
+  (lay, f, em)
+
+let abs_field fld =
+  let a = Field.clone fld in
+  let d = Field.data a in
+  Array.iteri (fun i v -> d.(i) <- Float.abs v) d;
+  a
+
+(* int J.E dx and int |J||E| dx (its roundoff scale), J = q M1. *)
+let field_work (lay : Layout.t) mom ~charge ~f ~em =
+  let nc = Layout.num_cbasis lay in
+  let j = Field.create lay.Layout.cgrid ~ncomp:(3 * nc) in
+  Moments.accumulate_current mom ~charge ~f ~out:j;
+  let jac =
+    Grid.cell_volume lay.Layout.cgrid /. (2.0 ** float_of_int lay.Layout.cdim)
+  in
+  let je = ref 0.0 and je_abs = ref 0.0 in
+  Grid.iter_cells lay.Layout.cgrid (fun _ c ->
+      for comp = 0 to min 2 (lay.Layout.vdim - 1) do
+        for k = 0 to nc - 1 do
+          let x = Field.get j c ((comp * nc) + k) *. Field.get em c ((comp * nc) + k) in
+          je := !je +. x;
+          je_abs := !je_abs +. Float.abs x
+        done
+      done);
+  (!je *. jac, !je_abs *. jac)
+
+let prop_referee =
+  QCheck.Test.make
+    ~name:"referee: every standard config x kernels x flux conserves N, KE"
+    ~count:2
+    (QCheck.make QCheck.Gen.(int_range 0 100000) ~print:string_of_int)
+    (fun seed ->
+      let eps = epsilon_float in
+      List.iter
+        (fun (family, p, cdim, vdim) ->
+          let lay, f, em = referee_state ~family ~p ~cdim ~vdim ~seed in
+          let np = Layout.num_basis lay in
+          let ndof = float_of_int (np * Grid.num_cells lay.Layout.grid) in
+          let mom = Moments.make lay in
+          let mass = 1.7 and charge = -0.8 in
+          List.iter
+            (fun (flux, fname) ->
+              List.iter
+                (fun use_kernels ->
+                  let tag =
+                    Printf.sprintf "%dx%dv p%d %s %s %s seed %d" cdim vdim p
+                      (Modal.family_name family) fname
+                      (if use_kernels then "generated" else "interpreted")
+                      seed
+                  in
+                  let s =
+                    Solver.create ~flux ~use_kernels ~qm:(charge /. mass) lay
+                  in
+                  let out = Field.create lay.Layout.grid ~ncomp:np in
+                  Solver.rhs s ~f ~em:(Some em) ~out;
+                  let dm = Moments.total_mass mom ~f:out in
+                  let bound_m =
+                    eps *. ndof *. Moments.total_mass mom ~f:(abs_field out)
+                  in
+                  if not (Float.abs dm <= bound_m) then
+                    QCheck.Test.fail_reportf "%s: dN/dt = %.3e over bound %.3e"
+                      tag dm bound_m;
+                  if p >= 2 then begin
+                    let ke_dot = Moments.total_kinetic_energy mom ~mass ~f:out in
+                    let je, je_abs = field_work lay mom ~charge ~f ~em in
+                    let bound_e =
+                      eps *. ndof
+                      *. (je_abs
+                         +. Float.abs
+                              (Moments.total_kinetic_energy mom ~mass
+                                 ~f:(abs_field out)))
+                    in
+                    if not (Float.abs (ke_dot -. je) <= bound_e) then
+                      QCheck.Test.fail_reportf
+                        "%s: dKE/dt = %.17g, int J.E = %.17g (bound %.3e)" tag
+                        ke_dot je bound_e
+                  end)
+                [ true; false ])
+            [ (Solver.Central, "central"); (Solver.Upwind, "upwind") ])
+        Dg_codegen.Codegen.standard_configs;
+      true)
+
 let () =
   Alcotest.run "dg_properties"
     [
@@ -264,6 +380,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_mass_conservation;
+            prop_referee;
             prop_accel_bound;
             prop_recovery_exact;
             prop_snapshot_roundtrip;

@@ -163,6 +163,142 @@ let test_energy_exchange_identity () =
         je ke_dot)
     [ (1, 1, Modal.Tensor); (1, 2, Modal.Serendipity); (2, 2, Modal.Serendipity) ]
 
+(* The surface term in face form (restrict, one face flux, lift) against
+   the volume-lifted four-tensor form it replaced, kept here as the
+   oracle: per face, out_L gets -rdx (T_ll alpha f_L + T_lr alpha f_R) +
+   lam rdx (P_lr f_R - P_ll f_L) and out_R gets rdx (T_rl alpha f_L +
+   T_rr alpha f_R) + lam rdx (P_rl f_L - P_rr f_R); ghost cells are not
+   updated and velocity-domain faces carry no flux.  The volume term is
+   the solver's own. *)
+module Tensors = Dg_kernels.Tensors
+module Sparse = Dg_kernels.Sparse
+module Flux = Dg_kernels.Flux
+
+let four_tensor_rhs (lay : Layout.t) ~flux ~qm ~(f : Field.t) ~(em : Field.t)
+    ~(out : Field.t) =
+  let open Tensors in
+  let basis = lay.Layout.basis in
+  let pdim = lay.Layout.pdim and cdim = lay.Layout.cdim in
+  let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
+  let grid = lay.Layout.grid and vg = lay.Layout.vgrid in
+  let dx = Grid.dx grid and cells = Grid.cells grid in
+  let fd = Field.data f and od = Field.data out in
+  Field.fill out 0.0;
+  let alpha = Array.make np 0.0 in
+  for dir = 0 to pdim - 1 do
+    let dk = make_dir lay ~dir in
+    let support = dk.support in
+    let surf s_l s_n = surface basis ~support ~dir ~s_l ~s_n in
+    let pen s_l s_n = penalty basis ~dir ~s_l ~s_n in
+    let sll = surf Hi Hi and slr = surf Hi Lo and srl = surf Lo Hi
+    and srr = surf Lo Lo in
+    let pll = pen Hi Hi and plr = pen Hi Lo and prl = pen Lo Hi
+    and prr = pen Lo Lo in
+    let ctx =
+      if dir < cdim then None
+      else Some (Flux.make_accel_ctx lay ~vdir:(dir - cdim) ~qm)
+    in
+    let rdx = 1.0 /. dx.(dir) in
+    Grid.iter_cells grid (fun _ c ->
+        let vcenter =
+          Array.init lay.Layout.vdim (fun k ->
+              (Grid.lower vg).(k)
+              +. ((float_of_int c.(cdim + k) +. 0.5) *. (Grid.dx vg).(k)))
+        in
+        Array.fill alpha 0 np 0.0;
+        let lam =
+          match ctx with
+          | None ->
+              let dv = (Grid.dx vg).(dir) in
+              Flux.streaming_alpha lay ~dir ~vcenter:vcenter.(dir) ~dv ~support
+                alpha;
+              Flux.streaming_max_speed ~vcenter:vcenter.(dir) ~dv
+          | Some ctx ->
+              let cc = Array.sub c 0 cdim in
+              Flux.accel_alpha ctx ~em:(Field.data em)
+                ~em_off:(Field.offset em cc) ~ncbasis:nc ~vcenter alpha;
+              Flux.accel_max_speed ctx alpha
+        in
+        let lam = if flux = Solver.Central then 0.0 else lam in
+        Sparse.apply_t3_off dk.vol ~scale:(2.0 *. rdx) alpha fd
+          ~foff:(Field.offset f c) od ~ooff:(Field.offset out c);
+        let update_face ~cl ~cr ~update_l ~update_r =
+          let fl = Field.offset f cl and fr = Field.offset f cr in
+          if update_l then begin
+            let o = Field.offset out cl in
+            Sparse.apply_t3_off sll ~scale:(-.rdx) alpha fd ~foff:fl od ~ooff:o;
+            Sparse.apply_t3_off slr ~scale:(-.rdx) alpha fd ~foff:fr od ~ooff:o;
+            Sparse.apply_t2_off plr ~scale:(lam *. rdx) fd ~foff:fr od ~ooff:o;
+            Sparse.apply_t2_off pll ~scale:(-.lam *. rdx) fd ~foff:fl od ~ooff:o
+          end;
+          if update_r then begin
+            let o = Field.offset out cr in
+            Sparse.apply_t3_off srl ~scale:rdx alpha fd ~foff:fl od ~ooff:o;
+            Sparse.apply_t3_off srr ~scale:rdx alpha fd ~foff:fr od ~ooff:o;
+            Sparse.apply_t2_off prl ~scale:(lam *. rdx) fd ~foff:fl od ~ooff:o;
+            Sparse.apply_t2_off prr ~scale:(-.lam *. rdx) fd ~foff:fr od ~ooff:o
+          end
+        in
+        let shifted d =
+          let a = Array.copy c in
+          a.(dir) <- c.(dir) + d;
+          a
+        in
+        if dir < cdim || c.(dir) > 0 then
+          update_face ~cl:(shifted (-1)) ~cr:c ~update_l:(c.(dir) > 0)
+            ~update_r:true;
+        if dir < cdim && c.(dir) = cells.(dir) - 1 then
+          update_face ~cl:c ~cr:(shifted 1) ~update_l:true ~update_r:false)
+  done
+
+let test_face_form_vs_four_tensor () =
+  List.iter
+    (fun (cdim, vdim, family, p) ->
+      let lay = make_lay ~cdim ~vdim ~family ~p ~cells_c:3 ~cells_v:3 ~vmax:2.0 in
+      let np = Layout.num_basis lay in
+      let f = Field.create lay.Layout.grid ~ncomp:np in
+      let rng = Random.State.make [| 21 |] in
+      Grid.iter_cells lay.Layout.grid (fun _ c ->
+          for k = 0 to np - 1 do
+            Field.set f c k (Random.State.float rng 2.0 -. 1.0)
+          done);
+      Field.sync_ghosts f (phase_bcs lay);
+      let em = random_em lay in
+      Field.sync_ghosts em
+        (Array.make lay.Layout.cdim (Field.Periodic, Field.Periodic));
+      List.iter
+        (fun flux ->
+          List.iter
+            (fun use_kernels ->
+              let solver = Solver.create ~flux ~use_kernels ~qm:(-1.3) lay in
+              let out = Field.create lay.Layout.grid ~ncomp:np in
+              let ref_rhs = Field.create lay.Layout.grid ~ncomp:np in
+              Solver.rhs solver ~f ~em:(Some em) ~out;
+              four_tensor_rhs lay ~flux ~qm:(-1.3) ~f ~em ~out:ref_rhs;
+              let scale = ref 0.0 in
+              Grid.iter_cells lay.Layout.grid (fun _ c ->
+                  for k = 0 to np - 1 do
+                    scale := Float.max !scale (Float.abs (Field.get ref_rhs c k))
+                  done);
+              Grid.iter_cells lay.Layout.grid (fun _ c ->
+                  for k = 0 to np - 1 do
+                    let a = Field.get out c k and b = Field.get ref_rhs c k in
+                    if Float.abs (a -. b) > 1e-12 *. !scale then
+                      Alcotest.failf
+                        "%dx%dv p%d %s %s kernels=%b: coeff %d: %.17g <> %.17g"
+                        cdim vdim p (Modal.family_name family)
+                        (if flux = Solver.Central then "central" else "upwind")
+                        use_kernels k a b
+                  done))
+            [ true; false ])
+        [ Solver.Central; Solver.Upwind ])
+    [
+      (1, 1, Modal.Serendipity, 2);
+      (1, 2, Modal.Tensor, 1);
+      (1, 2, Modal.Maximal_order, 2);
+      (2, 2, Modal.Serendipity, 2);
+    ]
+
 (* Free-streaming advection of a smooth profile: compare against the exact
    solution f0(x - v t, v) after a short time; the error must converge at
    high order with resolution. *)
@@ -232,6 +368,8 @@ let () =
         [
           Alcotest.test_case "uniform steady state" `Quick test_uniform_steady;
           Alcotest.test_case "mass conservation" `Quick test_mass_conservation;
+          Alcotest.test_case "face form == four-tensor surface form" `Quick
+            test_face_form_vs_four_tensor;
           Alcotest.test_case "energy exchange identity (Eq. 9)" `Quick
             test_energy_exchange_identity;
         ] );
