@@ -49,14 +49,21 @@ let phase_bcs (lay : Layout.t) =
 
 (* Seeds are required and distinct per call site, so no two benchmarks
    accidentally share input data (and a reseeding bug cannot hide). *)
-let random_field ~seed grid ~ncomp =
+let fill_random ~seed f =
   let rng = Random.State.make [| seed |] in
-  let f = Field.create grid ~ncomp in
-  Grid.iter_cells grid (fun _ c ->
-      for k = 0 to ncomp - 1 do
+  Grid.iter_cells (Field.grid f) (fun _ c ->
+      for k = 0 to Field.ncomp f - 1 do
         Field.set f c k (Random.State.float rng 2.0 -. 1.0)
       done);
   f
+
+let random_field ~seed grid ~ncomp = fill_random ~seed (Field.create grid ~ncomp)
+
+(* Phase-space fields as the app builds them (no velocity ghosts). *)
+let phase_field (lay : Layout.t) ~ncomp =
+  Field.create_phase ~cdim:lay.Layout.cdim lay.Layout.grid ~ncomp
+
+let random_phase ~seed lay ~ncomp = fill_random ~seed (phase_field lay ~ncomp)
 
 let random_em (lay : Layout.t) =
   let nc = Layout.num_cbasis lay in
@@ -139,10 +146,10 @@ let fig2_measure ~cdim ~vdim ~p ~cells_c ~cells_v family =
   let lay = make_layout ~cells_c ~cells_v ~cdim ~vdim ~family ~p () in
   let np = Layout.num_basis lay in
   let solver = Solver.create ~flux:Solver.Upwind ~qm:(-1.0) lay in
-  let f = random_field ~seed:11 lay.Layout.grid ~ncomp:np in
+  let f = random_phase ~seed:11 lay ~ncomp:np in
   Field.sync_ghosts f (phase_bcs lay);
   let em = random_em lay in
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   let ncells = float_of_int (Grid.num_cells lay.Layout.grid) in
   let t_stream = time_per_call (fun () -> Solver.rhs solver ~f ~em:None ~out) in
   let t_total = time_per_call (fun () -> Solver.rhs solver ~f ~em:(Some em) ~out) in
@@ -206,8 +213,8 @@ let table1 () =
   let msolver = Solver.create ~flux:Solver.Upwind ~qm:(-1.0) lay in
   let msolver2 = Solver.create ~flux:Solver.Upwind ~qm:(1.0 /. 25.0) lay in
   let moments = Moments.make lay in
-  let f1 = random_field ~seed:2 lay.Layout.grid ~ncomp:np in
-  let f2 = random_field ~seed:3 lay.Layout.grid ~ncomp:np in
+  let f1 = random_phase ~seed:2 lay ~ncomp:np in
+  let f2 = random_phase ~seed:3 lay ~ncomp:np in
   let state = [ f1; f2; em ] in
   let modal_vlasov_time = ref 0.0 in
   let rhs ~time:_ st outs =
@@ -240,8 +247,8 @@ let table1 () =
   let nsolver = Nodal.create ~flux:Nodal.Upwind ~qm:(-1.0) lay in
   let nsolver2 = Nodal.create ~flux:Nodal.Upwind ~qm:(1.0 /. 25.0) lay in
   let nnp = Nodal.num_nodes nsolver in
-  let g1 = random_field ~seed:2 lay.Layout.grid ~ncomp:nnp in
-  let g2 = random_field ~seed:3 lay.Layout.grid ~ncomp:nnp in
+  let g1 = random_phase ~seed:2 lay ~ncomp:nnp in
+  let g2 = random_phase ~seed:3 lay ~ncomp:nnp in
   let nstate = [ g1; g2; em ] in
   let nodal_vlasov_time = ref 0.0 in
   let nrhs ~time:_ st outs =
@@ -284,10 +291,10 @@ let efficiency () =
   let np = Layout.num_basis lay in
   let ncells = Grid.num_cells lay.Layout.grid in
   let solver = Solver.create ~flux:Solver.Upwind ~qm:(-1.0) lay in
-  let f = random_field ~seed:5 lay.Layout.grid ~ncomp:np in
+  let f = random_phase ~seed:5 lay ~ncomp:np in
   Field.sync_ghosts f (phase_bcs lay);
   let em = random_em lay in
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   let t_rhs = time_per_call (fun () -> Solver.rhs solver ~f ~em:(Some em) ~out) in
   let dofs = float_of_int (np * ncells) in
   pr "forward-Euler Vlasov operator: %.2e DOF/s/core  (paper: 1.67e7)\n"
@@ -317,7 +324,7 @@ let fig3 () =
   in
   let np = 64 in
   let d = Dg_par.Decomp.make ~global:grid ~cdim:3 ~blocks_per_dim:[| 2; 2; 2 |] ~ncomp:np in
-  let src = random_field ~seed:6 grid ~ncomp:np in
+  let src = fill_random ~seed:6 (Field.create_phase ~cdim:3 grid ~ncomp:np) in
   Dg_par.Decomp.scatter d ~src;
   let t_halo = time_per_call (fun () -> ignore (Dg_par.Decomp.exchange_halos d)) in
   let moved = Dg_par.Decomp.exchange_halos d in
@@ -332,10 +339,10 @@ let fig3 () =
     in
     let np = Layout.num_basis lay in
     let solver = Solver.create ~flux:Solver.Upwind ~qm:(-1.0) lay in
-    let f = random_field ~seed:8 lay.Layout.grid ~ncomp:np in
+    let f = random_phase ~seed:8 lay ~ncomp:np in
     Field.sync_ghosts f (phase_bcs lay);
     let em = random_em lay in
-    let out = Field.create lay.Layout.grid ~ncomp:np in
+    let out = phase_field lay ~ncomp:np in
     let t = time_per_call (fun () -> Solver.rhs solver ~f ~em:(Some em) ~out) in
     t /. float_of_int (np * Grid.num_cells lay.Layout.grid)
   in
@@ -456,7 +463,7 @@ let conservation () =
     let nc = Layout.num_cbasis lay in
     let mass = 1.0 and charge = -1.0 in
     let solver = Solver.create ~flux ~qm:(charge /. mass) lay in
-    let f = random_field ~seed:4 lay.Layout.grid ~ncomp:np in
+    let f = random_phase ~seed:4 lay ~ncomp:np in
     (* keep the velocity boundary clear so zero-flux BCs are exact *)
     Grid.iter_cells lay.Layout.grid (fun _ c ->
         if c.(1) = 0 || c.(1) = (Grid.cells lay.Layout.grid).(1) - 1 then
@@ -465,7 +472,7 @@ let conservation () =
           done);
     Field.sync_ghosts f (phase_bcs lay);
     let em = random_em lay in
-    let out = Field.create lay.Layout.grid ~ncomp:np in
+    let out = phase_field lay ~ncomp:np in
     Solver.rhs solver ~f ~em:(Some em) ~out;
     let mom = Moments.make lay in
     let ke_dot = Moments.total_kinetic_energy mom ~mass ~f:out in

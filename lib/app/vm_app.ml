@@ -299,7 +299,9 @@ let build ~initial (spec : spec) =
     Array.to_list
       (Array.map
          (fun sp ->
-           let fld = Field.create sp.s_lay.Layout.grid ~ncomp:np in
+           let fld =
+             Field.create_phase ~cdim:spec.cdim sp.s_lay.Layout.grid ~ncomp:np
+           in
            if initial then project_phase sp.s_lay ~f:sp.s_spec.init_f fld;
            fld)
          species)
@@ -671,11 +673,13 @@ let checkpoint t ~dir =
    Everything else the solver holds — stepper stages, moments,
    primitive-variable caches, the current accumulator — is workspace
    recomputed from the state each step, and ghosts are re-synchronized at
-   the top of every RHS, so copying the full coefficient arrays (ghosts
-   included) makes the resumed trajectory bit-exact.  Each field's grid
-   (cells and bounds), ghost width and component count must match: a
-   checkpoint of another scenario can have the same array sizes on a
-   different domain. *)
+   the top of every RHS, so copying every cell the app's fields store
+   (interior and ghosts) makes the resumed trajectory bit-exact.  A
+   checkpoint record is padded uniformly ({!Checkpoint.read}); the cells
+   it holds beyond the app's layout (a phase field's velocity ghosts) are
+   dropped.  Each field's grid (cells and bounds) and component count must
+   match: a checkpoint of another scenario can have the same array sizes
+   on a different domain. *)
 let restore t (info : Checkpoint.info) fields =
   if List.length fields <> List.length t.state then
     failwith
@@ -685,17 +689,20 @@ let restore t (info : Checkpoint.info) fields =
   List.iter2
     (fun src dst ->
       let gs = Field.grid src and gd = Field.grid dst in
+      let ndim = Grid.ndim gd in
       if
         Grid.cells gs <> Grid.cells gd
         || Grid.lower gs <> Grid.lower gd
         || Grid.upper gs <> Grid.upper gd
-        || Field.nghost src <> Field.nghost dst
         || Field.ncomp src <> Field.ncomp dst
+        || List.exists
+             (fun d -> Field.ghost src d < Field.ghost dst d)
+             (List.init ndim Fun.id)
       then
         failwith
           "Vm_app.restore: checkpoint field shape does not match this app \
            (different grid, basis, or species set?)";
-      Field.copy_into ~src ~dst)
+      Field.copy_stored ~src ~dst)
     fields t.state;
   t.nsteps <- info.Checkpoint.step;
   t.time <- info.Checkpoint.time

@@ -1,48 +1,73 @@
 (* DG coefficient fields: per-cell blocks of [ncomp] expansion coefficients
    stored contiguously over an extended (ghost-padded) grid.
 
-   The DG update needs exactly one ghost layer per side per dimension (the
-   paper relies on this for its communication pattern); we allow a general
-   [nghost] anyway.  Extended cells are addressed by coordinates in
-   [-nghost, cells+nghost) per dimension. *)
+   Each dimension carries its own ghost width.  The DG surface terms read
+   one ghost layer per side across a face whose neighbour lies outside the
+   domain (the paper's communication pattern), but only in configuration
+   space: velocity-space boundaries are zero-flux, so no sweep ever reads a
+   velocity ghost.  Phase-space fields ([create_phase]) therefore pad the
+   configuration dimensions only; configuration-space fields ([create])
+   pad every dimension.  Extended cells are addressed by coordinates in
+   [-ghost.(d), cells.(d)+ghost.(d)) per dimension. *)
 
 type bc =
   | Periodic  (* wrap around *)
   | Copy      (* zero-gradient: ghost := adjacent interior *)
-  | Zero      (* ghost := 0 (open/absorbing velocity-space boundary) *)
+  | Zero      (* ghost := 0 (open/absorbing boundary) *)
 
 type t = {
   grid : Grid.t;
   ncomp : int;
-  nghost : int;
+  ghost : int array; (* ghost width per dimension *)
   ext : int array; (* extended cell counts *)
   stride : int array; (* strides in cells, last dim fastest *)
+  origin : int; (* cell index of coordinate 0 in every dimension *)
   data : float array;
 }
 
-let create ?(nghost = 1) grid ~ncomp =
+let make grid ~ncomp ghost =
   let ndim = Grid.ndim grid in
-  let ext = Array.map (fun n -> n + (2 * nghost)) (Grid.cells grid) in
+  let ext = Array.mapi (fun d n -> n + (2 * ghost.(d))) (Grid.cells grid) in
   let stride = Array.make ndim 1 in
   for d = ndim - 2 downto 0 do
     stride.(d) <- stride.(d + 1) * ext.(d + 1)
   done;
+  let origin = ref 0 in
+  Array.iteri (fun d g -> origin := !origin + (g * stride.(d))) ghost;
   let total = Array.fold_left ( * ) 1 ext in
-  { grid; ncomp; nghost; ext; stride; data = Array.make (total * ncomp) 0.0 }
+  {
+    grid;
+    ncomp;
+    ghost;
+    ext;
+    stride;
+    origin = !origin;
+    data = Array.make (total * ncomp) 0.0;
+  }
+
+let create ?(nghost = 1) grid ~ncomp =
+  make grid ~ncomp (Array.make (Grid.ndim grid) nghost)
+
+let create_phase ~cdim grid ~ncomp =
+  let ndim = Grid.ndim grid in
+  if cdim < 0 || cdim > ndim then
+    invalid_arg
+      (Printf.sprintf "Field.create_phase: cdim %d outside [0, %d]" cdim ndim);
+  make grid ~ncomp (Array.init ndim (fun d -> if d < cdim then 1 else 0))
 
 let grid f = f.grid
 let ncomp f = f.ncomp
-let nghost f = f.nghost
+let ghost f d = f.ghost.(d)
+let nghost f = Array.fold_left max 0 f.ghost
 let data f = f.data
 
 (* Offset (in floats) of the coefficient block of the cell with *interior*
    coordinates [c] (ghosts reachable with negative / >= cells coordinates). *)
 let offset f (c : int array) =
-  let idx = ref 0 in
+  let idx = ref f.origin in
   for d = 0 to Grid.ndim f.grid - 1 do
-    let cd = c.(d) + f.nghost in
-    assert (cd >= 0 && cd < f.ext.(d));
-    idx := !idx + (cd * f.stride.(d))
+    assert (c.(d) >= -f.ghost.(d) && c.(d) < f.ext.(d) - f.ghost.(d));
+    idx := !idx + (c.(d) * f.stride.(d))
   done;
   !idx * f.ncomp
 
@@ -66,28 +91,27 @@ let checked_cell_offset f (c : int array) =
   let ndim = Grid.ndim f.grid in
   if Array.length c <> ndim then
     invalid_arg "Field.checked_cell_offset: coordinate rank mismatch";
-  let idx = ref 0 in
+  let idx = ref f.origin in
   for d = 0 to ndim - 1 do
-    let cd = c.(d) + f.nghost in
+    let cd = c.(d) + f.ghost.(d) in
     if cd < 0 || cd >= f.ext.(d) then
       invalid_arg
         (Printf.sprintf
            "Field.checked_cell_offset: coordinate %d out of \
             [%d, %d) in dim %d"
-           c.(d) (-f.nghost)
-           (f.ext.(d) - f.nghost)
+           c.(d) (-f.ghost.(d))
+           (f.ext.(d) - f.ghost.(d))
            d);
-    idx := !idx + (cd * f.stride.(d))
+    idx := !idx + (c.(d) * f.stride.(d))
   done;
   !idx * f.ncomp
 
 let unsafe_cell_offset f (c : int array) =
   if bounds_check then checked_cell_offset f c
   else begin
-    let idx = ref 0 in
+    let idx = ref f.origin in
     for d = 0 to Grid.ndim f.grid - 1 do
-      idx :=
-        !idx + ((Array.unsafe_get c d + f.nghost) * Array.unsafe_get f.stride d)
+      idx := !idx + (Array.unsafe_get c d * Array.unsafe_get f.stride d)
     done;
     !idx * f.ncomp
   end
@@ -130,56 +154,101 @@ let scale f s =
 
 (* --- Ghost-cell synchronization ---------------------------------------- *)
 
-(* Iterate over all extended coordinates of the ghost slabs of dimension [d]
-   and fix them up according to [bc].  Corners are handled correctly because
-   dimensions are processed in order and each pass copies whole slabs
-   including the ghost regions of previously-processed dimensions. *)
+(* Refresh the ghost layers of dimension [d] by contiguous slab copies.  For
+   a fixed tuple of outer coordinates (dims < d, extended) the cells with a
+   given coordinate in [d] and any extended coordinates in dims > d are
+   [stride.(d)] consecutive cells, so each ghost layer of each outer tuple
+   is one blit (or fill).  Corners are handled because dimensions are
+   processed in order and each slab spans the ghost regions of the other
+   dimensions. *)
 let apply_bc_dim f d (bc_lo : bc) (bc_hi : bc) =
-  let ndim = Grid.ndim f.grid in
-  let nc = (Grid.cells f.grid).(d) in
-  let g = f.nghost in
-  (* Iterate over the full extended box in all dims except [d]. *)
-  let c = Array.make ndim 0 in
-  let rec walk dim =
-    if dim = ndim then begin
-      for layer = 1 to g do
-        (* lower ghosts *)
-        c.(d) <- -layer;
-        let dst = offset f c in
-        (match bc_lo with
-        | Periodic ->
-            c.(d) <- nc - layer;
-            Array.blit f.data (offset f c) f.data dst f.ncomp
-        | Copy ->
-            c.(d) <- 0;
-            Array.blit f.data (offset f c) f.data dst f.ncomp
-        | Zero -> Array.fill f.data dst f.ncomp 0.0);
-        (* upper ghosts *)
-        c.(d) <- nc - 1 + layer;
-        let dst = offset f c in
-        (match bc_hi with
-        | Periodic ->
-            c.(d) <- layer - 1;
-            Array.blit f.data (offset f c) f.data dst f.ncomp
-        | Copy ->
-            c.(d) <- nc - 1;
-            Array.blit f.data (offset f c) f.data dst f.ncomp
-        | Zero -> Array.fill f.data dst f.ncomp 0.0)
-      done
-    end
-    else if dim = d then walk (dim + 1)
-    else
-      for k = -g to (Grid.cells f.grid).(dim) - 1 + g do
-        c.(dim) <- k;
-        walk (dim + 1)
-      done
+  let nc = (Grid.cells f.grid).(d) and g = f.ghost.(d) in
+  let slab = f.stride.(d) * f.ncomp in
+  let nouter = ref 1 in
+  for k = 0 to d - 1 do
+    nouter := !nouter * f.ext.(k)
+  done;
+  (* float offset of extended index [e] in dim [d] under outer tuple [o] *)
+  let at o e = ((o * f.ext.(d)) + e) * slab in
+  let fix o ~dst bc ~src =
+    match bc with
+    | Periodic | Copy -> Array.blit f.data (at o src) f.data (at o dst) slab
+    | Zero -> Array.fill f.data (at o dst) slab 0.0
   in
-  walk 0
+  for o = 0 to !nouter - 1 do
+    for layer = 1 to g do
+      (* coordinate -layer from nc - layer (periodic) or 0 (copy) *)
+      fix o ~dst:(g - layer) bc_lo
+        ~src:(g + if bc_lo = Periodic then nc - layer else 0);
+      (* coordinate nc - 1 + layer from layer - 1 (periodic) or nc - 1 *)
+      fix o ~dst:(g + nc - 1 + layer) bc_hi
+        ~src:(g + if bc_hi = Periodic then layer - 1 else nc - 1)
+    done
+  done
 
-(* Refresh all ghost layers given per-dimension (lower, upper) BCs. *)
+(* Refresh all ghost layers given per-dimension (lower, upper) BCs;
+   dimensions without ghosts are skipped. *)
 let sync_ghosts f (bcs : (bc * bc) array) =
   assert (Array.length bcs = Grid.ndim f.grid);
-  Array.iteri (fun d (lo, hi) -> apply_bc_dim f d lo hi) bcs
+  Array.iteri
+    (fun d (lo, hi) -> if f.ghost.(d) > 0 then apply_bc_dim f d lo hi)
+    bcs
+
+(* --- Layout-crossing copies -------------------------------------------- *)
+
+(* dst := src on every cell [dst] stores, interior and ghosts, one
+   contiguous row of the last dimension at a time. *)
+let copy_stored ~src ~dst =
+  let ndim = Grid.ndim dst.grid in
+  let cells = Grid.cells dst.grid in
+  if
+    Grid.cells src.grid <> cells
+    || src.ncomp <> dst.ncomp
+    || Array.exists2 (fun gs gd -> gs < gd) src.ghost dst.ghost
+  then invalid_arg "Field.copy_stored: src does not store every cell of dst";
+  let last = ndim - 1 in
+  let c = Array.make ndim 0 in
+  let row = dst.ext.(last) * dst.ncomp in
+  let rec go d =
+    if d = last then begin
+      c.(last) <- -dst.ghost.(last);
+      Array.blit src.data (offset src c) dst.data (offset dst c) row
+    end
+    else
+      for k = -dst.ghost.(d) to cells.(d) + dst.ghost.(d) - 1 do
+        c.(d) <- k;
+        go (d + 1)
+      done
+  in
+  go 0
+
+(* Feed [k] the storage [f] would have with [nghost] ghost layers in every
+   dimension, in storage order, with +0 wherever [f] stores no cell. *)
+let iter_padded f ~nghost k =
+  let ndim = Grid.ndim f.grid in
+  let cells = Grid.cells f.grid in
+  if Array.exists (fun g -> g > nghost) f.ghost then
+    invalid_arg "Field.iter_padded: field is wider than the padding";
+  (* floats in one padded sub-box spanning dims d.. *)
+  let sub = Array.make (ndim + 1) f.ncomp in
+  for d = ndim - 1 downto 0 do
+    sub.(d) <- sub.(d + 1) * (cells.(d) + (2 * nghost))
+  done;
+  let rec go d base =
+    if d = ndim then
+      for i = base * f.ncomp to ((base + 1) * f.ncomp) - 1 do
+        k f.data.(i)
+      done
+    else
+      for cd = -nghost to cells.(d) + nghost - 1 do
+        if cd < -f.ghost.(d) || cd >= cells.(d) + f.ghost.(d) then
+          for _ = 1 to sub.(d + 1) do
+            k 0.0
+          done
+        else go (d + 1) (base + ((cd + f.ghost.(d)) * f.stride.(d)))
+      done
+  in
+  go 0 0
 
 (* L2 norm over interior cells: sqrt(sum_cells |coeffs|^2 * cellvol / 2^ndim).
    With orthonormal reference-cell bases this equals the physical L2 norm. *)

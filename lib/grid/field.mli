@@ -1,10 +1,16 @@
 (** DG coefficient fields: per-cell blocks of [ncomp] expansion
     coefficients stored contiguously over a ghost-padded grid.
 
-    Ghost cells are addressed with out-of-range coordinates
-    ([-nghost .. cells + nghost - 1] per dimension) and refreshed by
-    {!sync_ghosts} — one layer is exactly what the DG surface terms need
-    (the communication pattern the paper's decomposition exploits). *)
+    Each dimension [d] has its own ghost width [ghost f d]; ghost cells are
+    addressed with out-of-range coordinates
+    ([-ghost f d .. cells.(d) + ghost f d - 1]) and refreshed by
+    {!sync_ghosts}.  One layer is exactly what the DG surface terms need
+    (the communication pattern the paper's decomposition exploits), and
+    only where a face can have an outside neighbour: velocity-space
+    boundaries are zero-flux, so no sweep reads a velocity ghost.
+    Phase-space fields come from {!create_phase} and are padded in the
+    configuration dimensions only; configuration-space fields come from
+    {!create} and are padded in every dimension. *)
 
 (** Per-side boundary condition used by {!sync_ghosts}. *)
 type bc =
@@ -15,11 +21,24 @@ type bc =
 type t
 
 val create : ?nghost:int -> Grid.t -> ncomp:int -> t
-(** Allocate a zero field ([nghost] defaults to 1). *)
+(** Allocate a zero field padded by [nghost] layers (default 1) in every
+    dimension. *)
+
+val create_phase : cdim:int -> Grid.t -> ncomp:int -> t
+(** Allocate a zero phase-space field: one ghost layer in each of the
+    first [cdim] (configuration) dimensions, none in the velocity
+    dimensions.  The one constructor of phase-space fields.
+    @raise Invalid_argument unless [0 <= cdim <= Grid.ndim grid]. *)
 
 val grid : t -> Grid.t
 val ncomp : t -> int
+
+val ghost : t -> int -> int
+(** Ghost width of one dimension. *)
+
 val nghost : t -> int
+(** The widest ghost width over all dimensions (a {!create} field's
+    uniform width). *)
 
 val data : t -> float array
 (** The raw storage (including ghosts); use {!offset} to address cells. *)
@@ -39,11 +58,13 @@ val unsafe_cell_offset : t -> int array -> int
 
     Invariant: callers must pass a coordinate array of exactly
     [Grid.ndim (grid t)] entries with each [c.(d)] in
-    [-nghost .. cells.(d) + nghost - 1].  The generated kernels then
-    access [data t] with [Array.unsafe_get]/[Array.unsafe_set] at literal
-    offsets within the [ncomp]-float block starting here, so this single
-    per-cell computation is where memory safety is established — every
-    in-block index is a compile-time literal [< ncomp].
+    [-ghost t d .. cells.(d) + ghost t d - 1].  A phase-space field has no
+    velocity ghosts: a velocity coordinate of -1 does not raise here, it
+    silently addresses the neighbouring cell's block.  The generated
+    kernels then access [data t] with [Array.unsafe_get]/[Array.unsafe_set]
+    at literal offsets within the [ncomp]-float block starting here, so
+    this single per-cell computation is where memory safety is established
+    — every in-block index is a compile-time literal [< ncomp].
 
     Setting the environment variable [VMDG_BOUNDS_CHECK=1] (read once at
     program start) makes this function behave exactly like
@@ -57,6 +78,8 @@ val write_block : t -> int array -> float array -> unit
 val accumulate_block : t -> int array -> ?scale:float -> float array -> unit
 val fill : t -> float -> unit
 val copy_into : src:t -> dst:t -> unit
+(** Copy the whole storage; both fields must have the same layout. *)
+
 val clone : t -> t
 
 val axpy : s:float -> src:t -> dst:t -> unit
@@ -66,7 +89,21 @@ val scale : t -> float -> unit
 
 val sync_ghosts : t -> (bc * bc) array -> unit
 (** Refresh all ghost layers given per-dimension (lower, upper) boundary
-    conditions; corners are handled by the dimension-by-dimension passes. *)
+    conditions; corners are handled by the dimension-by-dimension passes.
+    Each ghost layer is copied as contiguous slabs; dimensions without
+    ghosts are skipped (their conditions are ignored). *)
+
+val copy_stored : src:t -> dst:t -> unit
+(** Copy every cell [dst] stores, interior and ghosts, from [src] at the
+    same coordinates; [src] may be padded more widely than [dst].
+    @raise Invalid_argument unless the cell counts and [ncomp] match and
+    [src] stores every cell of [dst]. *)
+
+val iter_padded : t -> nghost:int -> (float -> unit) -> unit
+(** [iter_padded f ~nghost k] calls [k] on each float of the storage a
+    {!create} field with [~nghost] would have, in storage order: [f]'s
+    value where [f] stores the cell, +0 where it does not.
+    @raise Invalid_argument if some ghost width of [f] exceeds [nghost]. *)
 
 val l2_norm : t -> float
 (** Physical L2 norm of the expansion (orthonormal reference bases). *)

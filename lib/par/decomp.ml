@@ -3,7 +3,8 @@
    configuration dimensions are split (velocity space is kept whole per
    block and reduced locally, so moments need no inter-block reduction).
 
-   Each block owns a phase-space sub-grid with one ghost layer; exchange
+   Each block owns a phase-space sub-grid with one ghost layer in each
+   configuration dimension (none in velocity, which is never split); exchange
    copies boundary slabs between neighbouring blocks (periodic).  On a real
    cluster these copies are the MPI messages; here they quantify the
    communication volume of the scaling model, and the implementation is
@@ -68,7 +69,13 @@ let make ~(global : Grid.t) ~cdim ~(blocks_per_dim : int array) ~ncomp =
               else (Grid.upper global).(d))
         in
         let local_grid = Grid.make ~cells:local_cells ~lower ~upper in
-        { id; bcoords; offset; local_grid; field = Field.create local_grid ~ncomp })
+        {
+          id;
+          bcoords;
+          offset;
+          local_grid;
+          field = Field.create_phase ~cdim local_grid ~ncomp;
+        })
       in
   { global; cdim; blocks_per_dim; blocks; ncomp }
 

@@ -20,7 +20,10 @@
      header   magic "VDGC", version (1), field count, step; time
      field*   magic "VDG\"", version (1), flag word (always 0), ndim,
               cells[ndim], ncomp, nghost; lower[ndim], upper[ndim],
-              the coefficient array (ghosts included)
+              the coefficient array padded by nghost ghost layers in
+              every dimension (a phase-space field stores no velocity
+              ghosts; its record carries +0 there, what those ghosts
+              would hold under the zero-flux Zero condition)
      trailer  FNV-1a 64 of every byte before it
 
    Field records of the retired v0 format (magic "VDG!", no version word)
@@ -52,9 +55,15 @@ let fnv64 (b : Bytes.t) len =
   done;
   !h
 
+(* A record pads every dimension by the field's widest ghost width. *)
 let field_bytes f =
-  let ndim = Grid.ndim (Field.grid f) in
-  (4 * (6 + ndim)) + (8 * ((2 * ndim) + Array.length (Field.data f)))
+  let g = Field.grid f and nghost = Field.nghost f in
+  let ndim = Grid.ndim g in
+  let floats =
+    Array.fold_left (fun n c -> n * (c + (2 * nghost))) (Field.ncomp f)
+      (Grid.cells g)
+  in
+  (4 * (6 + ndim)) + (8 * ((2 * ndim) + floats))
 
 let encode ~step ~time fields =
   let n = List.fold_left (fun n f -> n + field_bytes f) (header_bytes + 8) fields in
@@ -82,10 +91,11 @@ let encode ~step ~time fields =
       int (Grid.ndim g);
       Array.iter int (Grid.cells g);
       int (Field.ncomp f);
-      int (Field.nghost f);
+      let nghost = Field.nghost f in
+      int nghost;
       Array.iter float (Grid.lower g);
       Array.iter float (Grid.upper g);
-      Array.iter float (Field.data f))
+      Field.iter_padded f ~nghost float)
     fields;
   Bytes.set_int64_be b !pos (fnv64 b !pos);
   b

@@ -30,7 +30,10 @@ val write :
   Dg_grid.Field.t list ->
   info
 (** Write one checkpoint (creating [dir] if needed) and atomically update
-    the [latest] pointer.  Files [resilience.checkpoint_writes] /
+    the [latest] pointer.  Each field is recorded padded by its widest
+    ghost width in every dimension, with +0 where it stores no cell (a
+    phase-space field's velocity ghosts), so the bytes do not depend on
+    how narrowly the field is padded.  Files [resilience.checkpoint_writes] /
     [resilience.checkpoint_write_s] and a ["checkpoint_write"] span via
     {!Dg_obs.Obs}.  [?faults] opens the simulated crash window
     ({!Faults.crash}): the tmp file is left behind (possibly truncated),
@@ -51,7 +54,9 @@ val prune : dir:string -> keep_last:int -> int
     deleted.  @raise Invalid_argument if [keep_last < 1]. *)
 
 val read : string -> Dg_grid.Field.t list * int * float
-(** Load a checkpoint: [(fields, step, time)].
+(** Load a checkpoint: [(fields, step, time)], each field padded
+    uniformly by its record's nghost ({!Dg_grid.Field.create}); copy it
+    into a narrower field with {!Dg_grid.Field.copy_stored}.
     @raise Failure on checksum mismatch, truncation, bad magic (including
     the retired v0 field record), unsupported version, a non-zero flag
     word, or an implausible header — a checkpoint that reads back is

@@ -10,6 +10,11 @@ module Prim = Dg_collisions.Prim_moments
 module Lbo = Dg_collisions.Lbo
 module Bgk = Dg_collisions.Bgk
 
+(* Phase-space fields as the app builds them: no velocity ghosts, so a
+   sweep that reads one raises when VMDG_BOUNDS_CHECK=1. *)
+let phase_field (lay : Layout.t) ~ncomp =
+  Field.create_phase ~cdim:lay.Layout.cdim lay.Layout.grid ~ncomp
+
 let check_close ?(tol = 1e-9) msg a b =
   if not (Dg_util.Float_cmp.close ~rtol:tol ~atol:tol a b) then
     Alcotest.failf "%s: %.12g <> %.12g" msg a b
@@ -55,7 +60,7 @@ let test_prim_moments () =
       let np = Layout.num_basis lay in
       let n0 = 1.7 and vt = 1.1 in
       let u = Array.init vdim (fun k -> 0.4 -. (0.2 *. float_of_int k)) in
-      let f = Field.create lay.Layout.grid ~ncomp:np in
+      let f = phase_field lay ~ncomp:np in
       Dg_app.Vm_app.project_phase lay
         ~f:(fun ~pos:_ ~vel -> maxwellian ~n0 ~u ~vt vel)
         f;
@@ -87,7 +92,7 @@ let test_lbo_density_conservation () =
   let lay = make_lay ~vdim:1 ~p:2 () in
   let np = Layout.num_basis lay in
   let rng = Random.State.make [| 7 |] in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   (* positive-ish random distribution *)
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos ~vel ->
@@ -97,7 +102,7 @@ let test_lbo_density_conservation () =
     f;
   let lbo = Lbo.create ~nu:0.8 lay in
   Lbo.update_prim lbo ~f;
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   Field.fill out 0.0;
   Lbo.rhs lbo ~f ~out;
   let mom = Moments.make lay in
@@ -108,13 +113,13 @@ let test_lbo_density_conservation () =
 let test_lbo_fixed_point () =
   let lay = make_lay ~vdim:1 ~p:2 ~cells_v:32 ~vmax:7.0 () in
   let np = Layout.num_basis lay in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos:_ ~vel -> maxwellian ~n0:1.0 ~u:[| 0.0 |] ~vt:1.0 vel)
     f;
   let lbo = Lbo.create ~nu:1.0 lay in
   Lbo.update_prim lbo ~f;
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   Field.fill out 0.0;
   Lbo.rhs lbo ~f ~out;
   let r = Field.l2_norm out /. Field.l2_norm f in
@@ -127,7 +132,7 @@ let test_lbo_fixed_point () =
 let test_lbo_relaxation () =
   let lay = make_lay ~cells_c:1 ~vdim:1 ~p:2 ~cells_v:24 ~vmax:6.0 () in
   let np = Layout.num_basis lay in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos:_ ~vel ->
       maxwellian ~n0:0.5 ~u:[| 1.5 |] ~vt:0.6 vel
@@ -150,7 +155,7 @@ let test_lbo_relaxation () =
   Lbo.update_prim lbo ~f;
   let dt = Float.min 0.02 (Lbo.suggest_dt lbo) in
   (* distance to the equilibrium Maxwellian before/after *)
-  let fm = Field.create lay.Layout.grid ~ncomp:np in
+  let fm = phase_field lay ~ncomp:np in
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos:_ ~vel ->
       (* same n, u=0, energy: vt^2 = u_beam^2 + vt_beam^2 *)
@@ -180,13 +185,13 @@ let test_lbo_relaxation () =
 let test_bgk () =
   let lay = make_lay ~cells_c:1 ~vdim:1 ~p:2 ~cells_v:24 ~vmax:6.0 () in
   let np = Layout.num_basis lay in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos:_ ~vel -> maxwellian ~n0:1.3 ~u:[| 0.4 |] ~vt:0.9 vel)
     f;
   let bgk = Bgk.create ~nu:1.0 lay in
   Bgk.update_prim bgk ~f;
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   Field.fill out 0.0;
   Bgk.rhs bgk ~f ~out;
   let r = Field.l2_norm out /. Field.l2_norm f in
@@ -215,7 +220,7 @@ let test_bgk () =
 let test_nonrealizable_cells_clamped () =
   let lay = make_lay ~vdim:1 ~p:2 () in
   let np = Layout.num_basis lay in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos ~vel ->
       if pos.(0) < 0.5 then maxwellian ~n0:1.0 ~u:[| 0.0 |] ~vt:1.0 vel
@@ -231,7 +236,7 @@ let test_nonrealizable_cells_clamped () =
     (Prim.flagged bgk.Bgk.prim_state 0);
   Alcotest.(check bool) "last (dead) cell flagged" true
     (Prim.flagged bgk.Bgk.prim_state (Grid.num_cells lay.Layout.cgrid - 1));
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   Field.fill out 0.0;
   Bgk.rhs bgk ~f ~out;
   let finite = ref true in

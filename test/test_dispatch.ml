@@ -12,6 +12,11 @@ module Solver = Dg_vlasov.Solver
 module Gen = Dg_genkernels.Kernels
 module Codegen = Dg_codegen.Codegen
 
+(* Phase-space fields as the app builds them: no velocity ghosts, so a
+   sweep that reads one raises when VMDG_BOUNDS_CHECK=1. *)
+let phase_field (lay : Layout.t) ~ncomp =
+  Field.create_phase ~cdim:lay.Layout.cdim lay.Layout.grid ~ncomp
+
 let make_layout ~family ~p ~cdim ~vdim =
   let pdim = cdim + vdim in
   let cells = Array.init pdim (fun d -> if d < cdim then 3 else 3) in
@@ -28,7 +33,7 @@ let phase_bcs (lay : Layout.t) =
 let random_f ?(seed = 42) (lay : Layout.t) =
   let np = Layout.num_basis lay in
   let rng = Random.State.make [| seed |] in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   Grid.iter_cells lay.Layout.grid (fun _ c ->
       for k = 0 to np - 1 do
         Field.set f c k (Random.State.float rng 2.0 -. 1.0)
@@ -71,8 +76,8 @@ let check_config ~family ~p ~cdim ~vdim =
       let si = Solver.create ~flux ~use_kernels:false ~qm:(-2.0) lay in
       let f = random_f lay in
       let em = random_em lay in
-      let out_d = Field.create lay.Layout.grid ~ncomp:np in
-      let out_i = Field.create lay.Layout.grid ~ncomp:np in
+      let out_d = phase_field lay ~ncomp:np in
+      let out_i = phase_field lay ~ncomp:np in
       List.iter
         (fun em_opt ->
           Solver.rhs sd ~f ~em:em_opt ~out:out_d;
@@ -99,8 +104,8 @@ let test_fallback_config () =
     (Array.for_all not (Solver.specialized_dirs sd));
   let si = Solver.create ~use_kernels:false ~qm:1.0 lay in
   let f = random_f lay and em = random_em lay in
-  let out_d = Field.create lay.Layout.grid ~ncomp:np in
-  let out_i = Field.create lay.Layout.grid ~ncomp:np in
+  let out_d = phase_field lay ~ncomp:np in
+  let out_i = phase_field lay ~ncomp:np in
   Solver.rhs sd ~f ~em:(Some em) ~out:out_d;
   Solver.rhs si ~f ~em:(Some em) ~out:out_i;
   (* both run the same interpreted tensors: identical, not just close *)
@@ -151,7 +156,7 @@ let test_generated_never_loses () =
   let sg = Solver.create ~use_kernels:true ~qm:1.0 lay in
   let si = Solver.create ~use_kernels:false ~qm:1.0 lay in
   let f = random_f lay and em = random_em lay in
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   let time_of s =
     let t0 = Unix.gettimeofday () in
     Solver.rhs s ~f ~em:(Some em) ~out;
@@ -191,7 +196,7 @@ let test_fallback_counters () =
     (Obs.counter_value "kernels.cse_saved_mults" > 0.0);
   let np = Layout.num_basis lay22 in
   let f = random_f lay22 and em = random_em lay22 in
-  let out = Field.create lay22.Layout.grid ~ncomp:np in
+  let out = phase_field lay22 ~ncomp:np in
   Obs.reset ();
   Solver.rhs s22 ~f ~em:(Some em) ~out;
   let ncells = float_of_int (Grid.num_cells lay22.Layout.grid) in
@@ -210,9 +215,9 @@ let test_workspace_reentrant () =
   let np = Layout.num_basis lay in
   let s = Solver.create ~qm:(-1.0) lay in
   let f = random_f lay and em = random_em lay in
-  let out1 = Field.create lay.Layout.grid ~ncomp:np in
-  let out2 = Field.create lay.Layout.grid ~ncomp:np in
-  let out3 = Field.create lay.Layout.grid ~ncomp:np in
+  let out1 = phase_field lay ~ncomp:np in
+  let out2 = phase_field lay ~ncomp:np in
+  let out3 = phase_field lay ~ncomp:np in
   Solver.rhs s ~f ~em:(Some em) ~out:out1;
   (* max_speeds between sweeps must not touch the solver *)
   ignore (Solver.max_speeds s ~em:(Some em));
@@ -241,8 +246,8 @@ let qcheck_chunked_equivalence =
         let si = Solver.create ~flux ~use_kernels:false ~qm:(-2.0) lay in
         let f = random_f ~seed:(seed + 1) lay in
         let em = random_em ~seed:(seed + 2) lay in
-        let out_d = Field.create lay.Layout.grid ~ncomp:np in
-        let out_i = Field.create lay.Layout.grid ~ncomp:np in
+        let out_d = phase_field lay ~ncomp:np in
+        let out_i = phase_field lay ~ncomp:np in
         Solver.rhs sd ~f ~em:(Some em) ~out:out_d;
         Solver.rhs si ~f ~em:(Some em) ~out:out_i;
         check_fields ~rtol:1e-12
@@ -306,12 +311,12 @@ let test_concurrent_sweeps () =
   let s = Solver.create ~qm:(-1.0) lay in
   let em = random_em lay in
   let f1 = random_f ~seed:1 lay and f2 = random_f ~seed:2 lay in
-  let ref1 = Field.create lay.Layout.grid ~ncomp:np in
-  let ref2 = Field.create lay.Layout.grid ~ncomp:np in
+  let ref1 = phase_field lay ~ncomp:np in
+  let ref2 = phase_field lay ~ncomp:np in
   Solver.rhs s ~f:f1 ~em:(Some em) ~out:ref1;
   Solver.rhs s ~f:f2 ~em:(Some em) ~out:ref2;
-  let out1 = Field.create lay.Layout.grid ~ncomp:np in
-  let out2 = Field.create lay.Layout.grid ~ncomp:np in
+  let out1 = phase_field lay ~ncomp:np in
+  let out2 = phase_field lay ~ncomp:np in
   let d = Domain.spawn (fun () -> Solver.rhs s ~f:f2 ~em:(Some em) ~out:out2) in
   Solver.rhs s ~f:f1 ~em:(Some em) ~out:out1;
   Domain.join d;

@@ -87,6 +87,128 @@ let test_ghost_corners_2d () =
   check_close "corner ghost hi" 0.0 (Field.get f [| 3; 3 |] 0);
   check_close "edge ghost" 2.0 (Field.get f [| -1; 2 |] 0 -. 20.0)
 
+(* The per-cell walk sync_ghosts used before it copied whole slabs, kept
+   as the oracle: for every extended coordinate outside dimension [d], fix
+   each ghost cell of [d] from its source cell one block at a time. *)
+let walk_sync f (bcs : (Field.bc * Field.bc) array) =
+  let cells = Grid.cells (Field.grid f) in
+  let ndim = Array.length cells and ncomp = Field.ncomp f in
+  let data = Field.data f in
+  Array.iteri
+    (fun d (lo, hi) ->
+      let g = Field.ghost f d and nc = cells.(d) in
+      let c = Array.make ndim 0 in
+      let fix (bc : Field.bc) ~ghost ~from =
+        c.(d) <- ghost;
+        let dst = Field.offset f c in
+        match bc with
+        | Field.Zero -> Array.fill data dst ncomp 0.0
+        | Field.Periodic | Field.Copy ->
+            c.(d) <- from;
+            Array.blit data (Field.offset f c) data dst ncomp
+      in
+      let rec walk dim =
+        if dim = ndim then
+          for layer = 1 to g do
+            fix lo ~ghost:(-layer)
+              ~from:(if lo = Field.Periodic then nc - layer else 0);
+            fix hi ~ghost:(nc - 1 + layer)
+              ~from:(if hi = Field.Periodic then layer - 1 else nc - 1)
+          done
+        else if dim = d then walk (dim + 1)
+        else
+          for k = -Field.ghost f dim to cells.(dim) - 1 + Field.ghost f dim do
+            c.(dim) <- k;
+            walk (dim + 1)
+          done
+      in
+      walk 0)
+    bcs
+
+(* [k c] on every coordinate [f] stores, interior and ghosts. *)
+let iter_stored f k =
+  let cells = Grid.cells (Field.grid f) in
+  let ndim = Array.length cells in
+  let c = Array.make ndim 0 in
+  let rec go d =
+    if d = ndim then k c
+    else
+      for x = -Field.ghost f d to cells.(d) + Field.ghost f d - 1 do
+        c.(d) <- x;
+        go (d + 1)
+      done
+  in
+  go 0
+
+let bits_equal a b =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a b
+
+let all_bcs =
+  List.concat_map
+    (fun lo -> List.map (fun hi -> (lo, hi)) Field.[ Periodic; Copy; Zero ])
+    Field.[ Periodic; Copy; Zero ]
+
+(* On random 1-5 dimensional grids, under every (lower, upper) pair of
+   conditions in every dimension and under random per-dimension mixes:
+   a field padded only in its leading dimensions holds, after sync, the
+   interior and ghost values of a uniformly padded field with the same
+   interior; and the slab-copy sync equals the per-cell walk bitwise, for
+   narrow, one-layer and two-layer padding. *)
+let test_sync_layouts () =
+  let rng = Random.State.make [| 2024 |] in
+  for _ = 1 to 40 do
+    let ndim = 1 + Random.State.int rng 5 in
+    let cells = Array.init ndim (fun _ -> 1 + Random.State.int rng 3) in
+    let grid =
+      Grid.make ~cells ~lower:(Array.make ndim 0.0) ~upper:(Array.make ndim 1.0)
+    in
+    let ncomp = 1 + Random.State.int rng 3 in
+    let lead = Random.State.int rng (ndim + 1) in
+    let mixes =
+      List.map (fun bc -> Array.make ndim bc) all_bcs
+      @ List.init 4 (fun _ ->
+            Array.init ndim (fun _ ->
+                List.nth all_bcs (Random.State.int rng (List.length all_bcs))))
+    in
+    List.iter
+      (fun bcs ->
+        let where =
+          Printf.sprintf "cells %s, %d padded"
+            (String.concat "x" (Array.to_list (Array.map string_of_int cells)))
+            lead
+        in
+        let uniform = Field.create grid ~ncomp in
+        let d = Field.data uniform in
+        Array.iteri (fun i _ -> d.(i) <- Random.State.float rng 2.0 -. 1.0) d;
+        let narrow = Field.create_phase ~cdim:lead grid ~ncomp in
+        Field.copy_stored ~src:uniform ~dst:narrow;
+        let wide = Field.create ~nghost:2 grid ~ncomp in
+        let d2 = Field.data wide in
+        Array.iteri (fun i _ -> d2.(i) <- Random.State.float rng 2.0 -. 1.0) d2;
+        (* oracle runs on copies taken before the sync under test *)
+        let check_walk name f =
+          let o = Field.clone f in
+          walk_sync o bcs;
+          Field.sync_ghosts f bcs;
+          if not (bits_equal (Field.data o) (Field.data f)) then
+            Alcotest.failf "%s: slab sync <> per-cell walk (%s)" name where
+        in
+        check_walk "narrow" narrow;
+        check_walk "uniform" uniform;
+        check_walk "two-layer" wide;
+        let a = Array.make ncomp 0.0 and b = Array.make ncomp 0.0 in
+        iter_stored narrow (fun c ->
+            Field.read_block narrow c a;
+            Field.read_block uniform c b;
+            if not (bits_equal a b) then
+              Alcotest.failf "narrow <> uniform at [|%s|] (%s)"
+                (String.concat ";" (Array.to_list (Array.map string_of_int c)))
+                where))
+      mixes
+  done
+
 let test_field_algebra () =
   let g = Grid.make ~cells:[| 2; 2 |] ~lower:[| 0.; 0. |] ~upper:[| 1.; 1. |] in
   let a = Field.create g ~ncomp:3 and b = Field.create g ~ncomp:3 in
@@ -150,6 +272,33 @@ let test_cell_offsets () =
             off)
     [ [| -2; 0 |]; [| 0; 5 |]; [| 4; 0 |]; [| 0 |] ]
 
+(* A phase field has ghosts in its configuration dimensions only: its
+   offsets agree on every stored cell, and the checked offset refuses a
+   velocity ghost coordinate (which the unchecked one would silently map
+   into a neighbouring block). *)
+let test_phase_offsets () =
+  let g =
+    Grid.make ~cells:[| 2; 3; 4 |] ~lower:[| 0.; 0.; -1. |]
+      ~upper:[| 1.; 1.; 1. |]
+  in
+  let f = Field.create_phase ~cdim:2 g ~ncomp:3 in
+  Alcotest.(check (list int)) "ghost widths" [ 1; 1; 0 ]
+    (List.init 3 (Field.ghost f));
+  Alcotest.(check int) "storage" (4 * 5 * 4 * 3) (Array.length (Field.data f));
+  iter_stored f (fun c ->
+      let expect = Field.offset f c in
+      Alcotest.(check int) "unsafe" expect (Field.unsafe_cell_offset f c);
+      Alcotest.(check int) "checked" expect (Field.checked_cell_offset f c));
+  List.iter
+    (fun bad ->
+      match Field.checked_cell_offset f bad with
+      | exception Invalid_argument _ -> ()
+      | off -> Alcotest.failf "velocity ghost accepted at offset %d" off)
+    [ [| 0; 0; -1 |]; [| 1; 2; 4 |]; [| -1; -1; -1 |] ];
+  match Field.create_phase ~cdim:4 g ~ncomp:1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "cdim beyond the grid accepted"
+
 let () =
   Alcotest.run "dg_grid"
     [
@@ -165,6 +314,8 @@ let () =
           Alcotest.test_case "periodic" `Quick test_ghost_periodic;
           Alcotest.test_case "copy/zero" `Quick test_ghost_copy_zero;
           Alcotest.test_case "2D corners" `Quick test_ghost_corners_2d;
+          Alcotest.test_case "narrow == uniform, slabs == walk" `Quick
+            test_sync_layouts;
         ] );
       ( "fields",
         [
@@ -173,5 +324,6 @@ let () =
           Alcotest.test_case "block ops" `Quick test_block_ops;
           Alcotest.test_case "cell offsets (zero-copy trio)" `Quick
             test_cell_offsets;
+          Alcotest.test_case "phase field offsets" `Quick test_phase_offsets;
         ] );
     ]

@@ -12,6 +12,11 @@ module Mat = Dg_linalg.Mat
 module Nodal = Dg_nodal.Nodal_solver
 module Solver = Dg_vlasov.Solver
 
+(* Phase-space fields as the app builds them: no velocity ghosts, so a
+   sweep that reads one raises when VMDG_BOUNDS_CHECK=1. *)
+let phase_field (lay : Layout.t) ~ncomp =
+  Field.create_phase ~cdim:lay.Layout.cdim lay.Layout.grid ~ncomp
+
 let make_lay ~cdim ~vdim ~p =
   let pdim = cdim + vdim in
   let cells = Array.init pdim (fun d -> if d < cdim then 3 else 4) in
@@ -36,8 +41,8 @@ let nodal_equiv ~cdim ~vdim ~p ~with_em () =
   Alcotest.(check int) "same space dimension" np_modal np_nodal;
   (* random modal state; map to nodal *)
   let rng = Random.State.make [| 21 |] in
-  let fm = Field.create lay.Layout.grid ~ncomp:np_modal in
-  let fn = Field.create lay.Layout.grid ~ncomp:np_nodal in
+  let fm = phase_field lay ~ncomp:np_modal in
+  let fn = phase_field lay ~ncomp:np_nodal in
   let mb = Array.make np_modal 0.0 and nb = Array.make np_nodal 0.0 in
   Grid.iter_cells lay.Layout.grid (fun _ c ->
       for k = 0 to np_modal - 1 do
@@ -62,8 +67,8 @@ let nodal_equiv ~cdim ~vdim ~p ~with_em () =
     end
     else None
   in
-  let om = Field.create lay.Layout.grid ~ncomp:np_modal in
-  let on = Field.create lay.Layout.grid ~ncomp:np_nodal in
+  let om = phase_field lay ~ncomp:np_modal in
+  let on = phase_field lay ~ncomp:np_nodal in
   Solver.rhs modal ~f:fm ~em ~out:om;
   Nodal.rhs nodal ~f:fn ~em ~out:on;
   (* compare V * rhs_modal with rhs_nodal cellwise *)
@@ -93,8 +98,8 @@ let test_current_equivalence () =
   let nodal = Nodal.create ~flux:Nodal.Central ~qm:1.0 lay in
   let v = Nodal.vandermonde nodal in
   let rng = Random.State.make [| 33 |] in
-  let fm = Field.create lay.Layout.grid ~ncomp:np in
-  let fn = Field.create lay.Layout.grid ~ncomp:np in
+  let fm = phase_field lay ~ncomp:np in
+  let fn = phase_field lay ~ncomp:np in
   let mb = Array.make np 0.0 and nb = Array.make np 0.0 in
   Grid.iter_cells lay.Layout.grid (fun _ c ->
       for k = 0 to np - 1 do

@@ -309,6 +309,70 @@ let state_data app =
       [ Array.copy (Field.data (App.em_field app)) ];
     ]
 
+(* Every cell [dst] stores (interior and ghosts) holds, bitwise, what
+   [src] holds at the same coordinates; [src] may be padded more widely. *)
+let stored_equal ~src dst =
+  let x = Field.clone dst in
+  Field.copy_stored ~src ~dst:x;
+  Array.for_all2
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+    (Field.data x) (Field.data dst)
+
+(* [k c] on every coordinate [f] stores, interior and ghosts. *)
+let iter_stored f k =
+  let cells = Grid.cells (Field.grid f) in
+  let ndim = Array.length cells in
+  let c = Array.make ndim 0 in
+  let rec go d =
+    if d = ndim then k c
+    else
+      for x = -Field.ghost f d to cells.(d) + Field.ghost f d - 1 do
+        c.(d) <- x;
+        go (d + 1)
+      done
+  in
+  go 0
+
+(* A uniformly padded (one layer everywhere) copy of [f]: what a phase
+   field looked like before it dropped its velocity ghosts, which only
+   ever held the zeros of their Zero condition. *)
+let uniform_twin f =
+  let u = Field.create ~nghost:1 (Field.grid f) ~ncomp:(Field.ncomp f) in
+  let block = Array.make (Field.ncomp f) 0.0 in
+  iter_stored f (fun c ->
+      Field.read_block f c block;
+      Field.write_block u c block);
+  u
+
+let file_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* A phase field padded in its configuration dimensions only encodes to
+   the bytes of its uniformly padded twin, on random grids and data. *)
+let test_phase_field_bytes () =
+  let rng = Random.State.make [| 33 |] in
+  for trial = 1 to 12 do
+    let ndim = 2 + Random.State.int rng 3 in
+    let cdim = 1 + Random.State.int rng (ndim - 1) in
+    let cells = Array.init ndim (fun _ -> 1 + Random.State.int rng 4) in
+    let grid =
+      Grid.make ~cells ~lower:(Array.make ndim (-1.0))
+        ~upper:(Array.make ndim 1.5)
+    in
+    let ncomp = 1 + Random.State.int rng 3 in
+    let p = Field.create_phase ~cdim grid ~ncomp in
+    let d = Field.data p in
+    Array.iteri (fun i _ -> d.(i) <- Random.State.float rng 2.0 -. 1.0) d;
+    let em = mk_field () in
+    let write name fields =
+      let dir = tmpdir (Printf.sprintf "phase_bytes_%s_%d" name trial) in
+      file_bytes (Checkpoint.write ~dir ~step:trial ~time:0.25 fields).Checkpoint.path
+    in
+    if write "phase" [ p; em ] <> write "uniform" [ uniform_twin p; em ] then
+      Alcotest.failf "trial %d (cells %s, cdim %d): bytes differ" trial
+        (String.concat "x" (Array.to_list (Array.map string_of_int cells)))
+        cdim
+  done
+
 let test_restart_bit_exact () =
   let dir = tmpdir "restart" in
   let spec = small_spec () in
@@ -333,6 +397,39 @@ let test_restart_bit_exact () =
     ignore (App.step c)
   done;
   Alcotest.(check bool) "same time" true (App.time a = App.time c);
+  List.iter2
+    (fun da dc ->
+      Alcotest.(check bool) "bit-identical trajectory" true (da = dc))
+    (state_data a) (state_data c)
+
+(* A checkpoint of uniformly padded fields (the layout phase fields had
+   before they dropped their velocity ghosts) restores through
+   Vm_app.restore to a bitwise-equal state, interior and configuration
+   ghosts included, and the resumed run stays bit-exact. *)
+let test_restore_uniform_layout () =
+  let dir = tmpdir "uniform_restore" in
+  let spec = small_spec () in
+  let a = App.create spec in
+  for _ = 1 to 10 do
+    ignore (App.step a)
+  done;
+  let state a = [ App.distribution a 0; App.em_field a ] in
+  let twins = List.map uniform_twin (state a) in
+  ignore
+    (Checkpoint.write ~dir ~step:(App.nsteps a) ~time:(App.time a) twins);
+  let c = App.create spec in
+  (match App.restore_latest c ~dir with
+  | Some info -> Alcotest.(check int) "resumed at step 10" 10 info.Checkpoint.step
+  | None -> Alcotest.fail "restore_latest found nothing");
+  List.iter2
+    (fun fa fc ->
+      Alcotest.(check bool) "restored == state, every stored cell" true
+        (Field.data fa = Field.data fc))
+    (state a) (state c);
+  for _ = 1 to 10 do
+    ignore (App.step a);
+    ignore (App.step c)
+  done;
   List.iter2
     (fun da dc ->
       Alcotest.(check bool) "bit-identical trajectory" true (da = dc))
@@ -404,10 +501,9 @@ let test_resume_skips_projection () =
         (fun ck db ->
           Alcotest.(check bool)
             "resumed state == checkpoint, bitwise" true
-            (Array.for_all2
-               (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
-               (Field.data ck) db))
-        fields (state_data b)
+            (stored_equal ~src:ck db))
+        fields
+        [ App.distribution b 0; App.em_field b ]
 
 (* --- rollback/retry ------------------------------------------------------- *)
 
@@ -665,6 +761,8 @@ let () =
       ( "snapshot",
         [
           Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
+          Alcotest.test_case "phase field == uniform twin, bytewise" `Quick
+            test_phase_field_bytes;
           Alcotest.test_case "bad magic" `Quick test_record_bad_magic;
           Alcotest.test_case "v0 magic rejected with a clean Failure" `Quick
             test_record_v0_rejected;
@@ -674,6 +772,8 @@ let () =
       ( "restart",
         [
           Alcotest.test_case "bit-exact resume" `Quick test_restart_bit_exact;
+          Alcotest.test_case "uniform-layout checkpoint restores bitwise" `Quick
+            test_restore_uniform_layout;
           Alcotest.test_case "shape mismatch rejected" `Quick test_restore_shape_mismatch;
           Alcotest.test_case "resume skips the initial projection" `Quick
             test_resume_skips_projection;

@@ -9,6 +9,11 @@ module Field = Dg_grid.Field
 module Solver = Dg_vlasov.Solver
 module Moments = Dg_moments.Moments
 
+(* Phase-space fields as the app builds them: no velocity ghosts, so a
+   sweep that reads one raises when VMDG_BOUNDS_CHECK=1. *)
+let phase_field (lay : Layout.t) ~ncomp =
+  Field.create_phase ~cdim:lay.Layout.cdim lay.Layout.grid ~ncomp
+
 let check_close ?(tol = 1e-10) msg a b =
   if not (Dg_util.Float_cmp.close ~rtol:tol ~atol:tol a b) then
     Alcotest.failf "%s: %.17g <> %.17g" msg a b
@@ -35,7 +40,7 @@ let phase_bcs (lay : Layout.t) =
 let random_f ?(seed = 5) (lay : Layout.t) =
   let rng = Random.State.make [| seed |] in
   let np = Layout.num_basis lay in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   let interior = ref true in
   Grid.iter_cells lay.Layout.grid (fun _ c ->
       interior := true;
@@ -66,13 +71,13 @@ let test_uniform_steady () =
       ~cells_v:6 ~vmax:3.0 in
   let np = Layout.num_basis lay in
   let solver = Solver.create ~flux:Solver.Upwind ~qm:1.0 lay in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   (* f varying in v only: coefficients on velocity-only modes *)
   Dg_app.Vm_app.project_phase lay
     ~f:(fun ~pos:_ ~vel -> exp (-.(vel.(0) *. vel.(0))))
     f;
   Field.sync_ghosts f (phase_bcs lay);
-  let out = Field.create lay.Layout.grid ~ncomp:np in
+  let out = phase_field lay ~ncomp:np in
   Solver.rhs solver ~f ~em:None ~out;
   Grid.iter_cells lay.Layout.grid (fun _ c ->
       for k = 0 to np - 1 do
@@ -98,7 +103,7 @@ let test_mass_conservation () =
           Field.sync_ghosts e
             (Array.make lay.Layout.cdim (Field.Periodic, Field.Periodic))
       | None -> ());
-      let out = Field.create lay.Layout.grid ~ncomp:np in
+      let out = phase_field lay ~ncomp:np in
       Solver.rhs solver ~f ~em ~out;
       let mom = Moments.make lay in
       let dmass = Moments.total_mass mom ~f:out in
@@ -133,7 +138,7 @@ let test_energy_exchange_identity () =
       let em = random_em lay in
       Field.sync_ghosts em
         (Array.make lay.Layout.cdim (Field.Periodic, Field.Periodic));
-      let out = Field.create lay.Layout.grid ~ncomp:np in
+      let out = phase_field lay ~ncomp:np in
       Solver.rhs solver ~f ~em:(Some em) ~out;
       let mom = Moments.make lay in
       (* LHS: (m/2) int |v|^2 (df/dt) dz *)
@@ -256,7 +261,7 @@ let test_face_form_vs_four_tensor () =
     (fun (cdim, vdim, family, p) ->
       let lay = make_lay ~cdim ~vdim ~family ~p ~cells_c:3 ~cells_v:3 ~vmax:2.0 in
       let np = Layout.num_basis lay in
-      let f = Field.create lay.Layout.grid ~ncomp:np in
+      let f = phase_field lay ~ncomp:np in
       let rng = Random.State.make [| 21 |] in
       Grid.iter_cells lay.Layout.grid (fun _ c ->
           for k = 0 to np - 1 do
@@ -271,8 +276,8 @@ let test_face_form_vs_four_tensor () =
           List.iter
             (fun use_kernels ->
               let solver = Solver.create ~flux ~use_kernels ~qm:(-1.3) lay in
-              let out = Field.create lay.Layout.grid ~ncomp:np in
-              let ref_rhs = Field.create lay.Layout.grid ~ncomp:np in
+              let out = phase_field lay ~ncomp:np in
+              let ref_rhs = phase_field lay ~ncomp:np in
               Solver.rhs solver ~f ~em:(Some em) ~out;
               four_tensor_rhs lay ~flux ~qm:(-1.3) ~f ~em ~out:ref_rhs;
               let scale = ref 0.0 in
@@ -312,7 +317,7 @@ let advection_error ~cells_c ~p =
   let np = Layout.num_basis lay in
   let solver = Solver.create ~flux:Solver.Upwind ~qm:0.0 lay in
   let f0 ~pos ~vel = (1.0 +. (0.5 *. sin pos.(0))) *. exp (-2.0 *. vel.(0) *. vel.(0)) in
-  let f = Field.create lay.Layout.grid ~ncomp:np in
+  let f = phase_field lay ~ncomp:np in
   Dg_app.Vm_app.project_phase lay ~f:f0 f;
   let stepper = Dg_time.Stepper.create ~scheme:Dg_time.Stepper.Ssp_rk3 ~like:[ f ] in
   let bcs = phase_bcs lay in
