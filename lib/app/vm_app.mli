@@ -194,9 +194,12 @@ val run_resilient :
     - {b tier 3}: clean abort — restore last-good, write a final
       checkpoint (when [checkpoint_dir] is given), raise [Failure].
 
-    With [checkpoint_every > 0] (requires [checkpoint_dir]) a checkpoint
-    is written after every K-th accepted step; [keep_last] bounds how many
-    are retained (oldest pruned first).  [supervisor] is polled between
+    With [checkpoint_every = K > 0] (requires [checkpoint_dir]) periodic
+    checkpoints are written only at healthy health-check windows, so each
+    one is a state that passed a check: at the first healthy window at
+    least K steps after the previous checkpoint (the first one K steps
+    in).  [keep_last] bounds how many are retained (oldest pruned
+    first).  [supervisor] is polled between
     steps: a stop request (SIGTERM/SIGINT or its [max_wall] budget)
     writes a final checkpoint of the last completed step and returns with
     [stats.stopped] set — restarting from it is bit-exact.  If the stop

@@ -3,177 +3,198 @@
      C[f] = nu d/dv . ( (v - u) f + vth^2 df/dv )
 
    discretized with the same modal, alias-free machinery as the Vlasov
-   streaming/acceleration terms:
+   streaming/acceleration terms, and run on the same sweep body
+   (Dg_vlasov.Sweep), one direction per velocity dimension:
 
-   - the drift term is a phase-space flux alpha = nu (u(x) - v) handled by
-     the generic hyperbolic volume/surface tensors (the flux expansion mixes
-     configuration coefficients of u with the linear-in-v mode);
+   - the drift term is a phase-space flux alpha = nu (u(x) - v) in face
+     form: restrict both traces to the face basis, one upwind-penalized
+     flux there, lift it into both cells.  Its support is every
+     configuration mode plus the linear-in-v_j mode, so the face triple
+     folds edge(m_dir, +1): the flux expansion is traced from the cell
+     below the face.  alpha is linear in v_j and continuous across the
+     face, so that cell's expansion is the upper cell's with the constant
+     coefficient shifted by nu dv s0 — no second fill;
    - the diffusion term uses the twice-integrated *recovery* DG scheme (van
      Leer & Nomura; the method of Gkeyll's Fokker-Planck operator, ref [22]
      of the paper): across each velocity face a degree 2p+1 polynomial is
      recovered from the two adjacent cells and supplies the single-valued
      interface value and slope; all tensors still factorize into exact 1D
-     Legendre tables (d2trip / dedge / recovery stencils).
+     Legendre tables (d2trip / dedge / recovery stencils).  Its volume,
+     face and boundary terms are the sweep's hooks, with g = nu vth^2(x)
+     filled once per cell.
 
    Velocity-space boundaries are zero-flux, so particle number is conserved
    to machine precision.  Momentum and energy are conserved up to the
    discretization error of the primitive moments (the fully-corrective
    scheme of Hakim et al. 2020 solves an adjusted linear system; we document
-   the simpler variant and test its drift is small). *)
+   the simpler variant and test its drift is small).  [rhs] allocates its
+   scratch per call, so it is reentrant like the Vlasov solver's. *)
 
 module Layout = Dg_kernels.Layout
 module Tensors = Dg_kernels.Tensors
 module Sparse = Dg_kernels.Sparse
 module Flux = Dg_kernels.Flux
+module Recovery = Dg_kernels.Recovery
+module Dispatch = Dg_dispatch.Dispatch
+module Sweep = Dg_vlasov.Sweep
 module Modal = Dg_basis.Modal
 module Mi = Dg_util.Multi_index
 module Grid = Dg_grid.Grid
 module Field = Dg_grid.Field
 module Moments = Dg_moments.Moments
 
-type dir_kernels = {
-  support_drift : int array;
-  vol_drift : Sparse.t3;
-  sd_ll : Sparse.t3;
-  sd_lr : Sparse.t3;
-  sd_rl : Sparse.t3;
-  sd_rr : Sparse.t3;
-  pen_ll : Sparse.t2;
-  pen_lr : Sparse.t2;
-  pen_rl : Sparse.t2;
-  pen_rr : Sparse.t2;
-  vol_diff : Sparse.t3;
-  (* recovery-based diffusion face tensors: rd_* carry w g r'(0), rv_* the
-     w' g r(0) term, tr_* the boundary-face w' g f_trace term *)
-  rd_hi_l : Sparse.t3;
-  rd_hi_r : Sparse.t3;
-  rd_lo_l : Sparse.t3;
-  rd_lo_r : Sparse.t3;
-  rv_hi_l : Sparse.t3;
-  rv_hi_r : Sparse.t3;
-  rv_lo_l : Sparse.t3;
-  rv_lo_r : Sparse.t3;
-  tr_hi : Sparse.t3;
-  tr_lo : Sparse.t3;
-}
-
 type t = {
   lay : Layout.t;
   nu : float;
   n_floor : float;
   vth2_floor : float;
-  np : int;
-  nc : int;
-  dirs : dir_kernels array; (* one per velocity direction *)
   prim : Prim_moments.t;
   moments : Moments.t;
   prim_state : Prim_moments.prim;
-  alpha : float array;
-  gphase : float array;
-  lin_idx : int array; (* phase index of the pure e_j mode per velocity dir *)
-  maxval : float array;
+  sweep : float array Sweep.dir array; (* one per velocity direction *)
 }
 
-(* Support for the drift flux nu (u_j(x) - v_j): all configuration modes
-   plus the single linear-in-v_j mode. *)
-let drift_support (lay : Layout.t) ~vdir =
-  let e = Array.make lay.Layout.pdim 0 in
-  e.(lay.Layout.cdim + vdir) <- 1;
-  let lin = Option.get (Modal.find lay.Layout.basis e) in
-  Array.append lay.Layout.cfg_to_phase [| lin |]
-
-module Recovery = Dg_kernels.Recovery
-
-let make_dir (lay : Layout.t) ~vdir ~basis =
-  let dir = lay.Layout.cdim + vdir in
-  let support_drift = drift_support lay ~vdir in
-  let support_cfg = lay.Layout.cfg_to_phase in
-  ignore (support_cfg : int array);
+(* The sweep data of velocity direction [vdir]. *)
+let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
+  let basis = lay.Layout.basis in
+  let cdim = lay.Layout.cdim and pdim = lay.Layout.pdim in
+  let dir = cdim + vdir in
+  let nc = Layout.num_cbasis lay in
+  let cfg = lay.Layout.cfg_to_phase in
+  let support = Tensors.drift_support lay ~vdir in
+  let c0 = cfg.(0) and lin = support.(Array.length support - 1) in
+  let s0 = Flux.const_coeff ~dim:pdim and s1 = Flux.linear_coeff ~dim:pdim in
+  let dv = (Grid.dx lay.Layout.vgrid).(vdir) in
+  (* configuration coefficients scale into the phase basis by sqrt(2)^vdim *)
+  let sv = sqrt 2.0 ** float_of_int lay.Layout.vdim in
+  let tb = Dg_cas.Legendre.tables (max 1 (Modal.max_1d_degree basis)) in
+  (* the bound of |w_m| over the cell, for the penalty speed *)
+  let maxval =
+    Array.map
+      (fun m ->
+        Array.fold_left
+          (fun acc n -> acc *. tb.Dg_cas.Legendre.maxv.(n))
+          1.0
+          (Mi.to_array (Modal.index basis m)))
+      support
+  in
+  (* -nu v_j on the constant and linear-in-v_j modes, +nu u_j(x) on the
+     configuration modes *)
+  let fill g c (vcenter : float array) alpha =
+    if vdir = 0 then begin
+      let vth2 = ps.Prim_moments.vth2 in
+      let gb = Field.unsafe_leading_offset vth2 c and gd = Field.data vth2 in
+      for a = 0 to nc - 1 do
+        g.(cfg.(a)) <- nu *. sv *. gd.(gb + a)
+      done
+    end;
+    for i = 0 to Array.length support - 1 do
+      alpha.(support.(i)) <- 0.0
+    done;
+    alpha.(c0) <- -.nu *. vcenter.(vdir) *. s0;
+    alpha.(lin) <- -.nu *. 0.5 *. dv *. s1;
+    let u = ps.Prim_moments.u in
+    let ub = Field.unsafe_leading_offset u c + (vdir * nc) and ud = Field.data u in
+    for a = 0 to nc - 1 do
+      alpha.(cfg.(a)) <- alpha.(cfg.(a)) +. (nu *. sv *. ud.(ub + a))
+    done
+  in
+  (* the cell below the face sits dv lower in v_j *)
+  let shift = nu *. dv *. s0 in
+  let face_alpha alpha falpha =
+    for i = 0 to Array.length support - 1 do
+      falpha.(support.(i)) <- alpha.(support.(i))
+    done;
+    falpha.(c0) <- falpha.(c0) +. shift
+  in
+  let speed _ alpha =
+    let acc = ref 0.0 in
+    for i = 0 to Array.length support - 1 do
+      acc := !acc +. (Float.abs alpha.(support.(i)) *. maxval.(i))
+    done;
+    !acc
+  in
+  (* twice-integrated recovery diffusion over the configuration support *)
   let p = Modal.poly_order basis in
   let rec_ = Recovery.shared p in
-  let tb = Dg_cas.Legendre.tables (max 1 (Modal.max_1d_degree basis)) in
-  let edge_hi = Array.sub tb.Dg_cas.Legendre.edge_hi 0 (p + 1) in
-  let edge_lo = Array.sub tb.Dg_cas.Legendre.edge_lo 0 (p + 1) in
+  let stencil lfactor nstencil =
+    Tensors.surface_stencil basis ~support:cfg ~dir ~lfactor ~nstencil
+  in
+  let vhi = Tensors.Val Tensors.Hi and vlo = Tensors.Val Tensors.Lo in
+  let dhi = Tensors.Der Tensors.Hi and dlo = Tensors.Der Tensors.Lo in
+  (* rd_*: w g r'(0), rv_*: w' g r(0), tr_*: w' g f_trace at the domain *)
+  let rd_hi_l = stencil vhi rec_.Recovery.rder_l in
+  let rd_hi_r = stencil vhi rec_.Recovery.rder_r in
+  let rd_lo_l = stencil vlo rec_.Recovery.rder_l in
+  let rd_lo_r = stencil vlo rec_.Recovery.rder_r in
+  let rv_hi_l = stencil dhi rec_.Recovery.rval_l in
+  let rv_hi_r = stencil dhi rec_.Recovery.rval_r in
+  let rv_lo_l = stencil dlo rec_.Recovery.rval_l in
+  let rv_lo_r = stencil dlo rec_.Recovery.rval_r in
+  let tr_hi = stencil dhi (Array.sub tb.Dg_cas.Legendre.edge_hi 0 (p + 1)) in
+  let tr_lo = stencil dlo (Array.sub tb.Dg_cas.Legendre.edge_lo 0 (p + 1)) in
+  let vol_diff = Tensors.volume_diffusion2 basis ~support:cfg ~dir in
+  let d2 = 2.0 /. (Grid.dx lay.Layout.grid).(dir) in
+  let dd = d2 *. d2 in
+  let ndd = -.dd in
+  (* + int g w'' f *)
+  let volume g fd ~foff od ~ooff =
+    Sparse.apply_t3_off vol_diff ~scale:dd g fd ~foff od ~ooff
+  in
+  (* n . ( w g r'(0) - w' g r(0) ): the left cell sees n = +1, the right
+     cell n = -1 *)
+  let face g fd ~foff_l ~foff_r od ~ooff_l ~ooff_r =
+    Sparse.apply_t3_off rd_hi_l ~scale:dd g fd ~foff:foff_l od ~ooff:ooff_l;
+    Sparse.apply_t3_off rd_hi_r ~scale:dd g fd ~foff:foff_r od ~ooff:ooff_l;
+    Sparse.apply_t3_off rv_hi_l ~scale:ndd g fd ~foff:foff_l od ~ooff:ooff_l;
+    Sparse.apply_t3_off rv_hi_r ~scale:ndd g fd ~foff:foff_r od ~ooff:ooff_l;
+    Sparse.apply_t3_off rd_lo_l ~scale:ndd g fd ~foff:foff_l od ~ooff:ooff_r;
+    Sparse.apply_t3_off rd_lo_r ~scale:ndd g fd ~foff:foff_r od ~ooff:ooff_r;
+    Sparse.apply_t3_off rv_lo_l ~scale:dd g fd ~foff:foff_l od ~ooff:ooff_r;
+    Sparse.apply_t3_off rv_lo_r ~scale:dd g fd ~foff:foff_r od ~ooff:ooff_r
+  in
+  (* zero-flux velocity boundaries: g df/dv . n = 0, leaving only the
+     -n w' g f_trace term of the twice-integrated form *)
+  let boundary g side fd ~foff od ~ooff =
+    match side with
+    | Tensors.Lo -> Sparse.apply_t3_off tr_lo ~scale:dd g fd ~foff od ~ooff
+    | Tensors.Hi -> Sparse.apply_t3_off tr_hi ~scale:ndd g fd ~foff od ~ooff
+  in
+  let dk =
+    {
+      Tensors.dir;
+      support;
+      vol = Tensors.volume basis ~support ~dir;
+      face = Tensors.face basis ~support ~dir;
+    }
+  in
   {
-    support_drift;
-    vol_drift = Tensors.volume basis ~support:support_drift ~dir;
-    sd_ll = Tensors.surface basis ~support:support_drift ~dir ~s_l:Tensors.Hi ~s_n:Tensors.Hi;
-    sd_lr = Tensors.surface basis ~support:support_drift ~dir ~s_l:Tensors.Hi ~s_n:Tensors.Lo;
-    sd_rl = Tensors.surface basis ~support:support_drift ~dir ~s_l:Tensors.Lo ~s_n:Tensors.Hi;
-    sd_rr = Tensors.surface basis ~support:support_drift ~dir ~s_l:Tensors.Lo ~s_n:Tensors.Lo;
-    pen_ll = Tensors.penalty basis ~dir ~s_l:Tensors.Hi ~s_n:Tensors.Hi;
-    pen_lr = Tensors.penalty basis ~dir ~s_l:Tensors.Hi ~s_n:Tensors.Lo;
-    pen_rl = Tensors.penalty basis ~dir ~s_l:Tensors.Lo ~s_n:Tensors.Hi;
-    pen_rr = Tensors.penalty basis ~dir ~s_l:Tensors.Lo ~s_n:Tensors.Lo;
-    vol_diff = Tensors.volume_diffusion2 basis ~support:support_cfg ~dir;
-    rd_hi_l =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Val Tensors.Hi) ~nstencil:rec_.Recovery.rder_l;
-    rd_hi_r =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Val Tensors.Hi) ~nstencil:rec_.Recovery.rder_r;
-    rd_lo_l =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Val Tensors.Lo) ~nstencil:rec_.Recovery.rder_l;
-    rd_lo_r =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Val Tensors.Lo) ~nstencil:rec_.Recovery.rder_r;
-    rv_hi_l =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Der Tensors.Hi) ~nstencil:rec_.Recovery.rval_l;
-    rv_hi_r =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Der Tensors.Hi) ~nstencil:rec_.Recovery.rval_r;
-    rv_lo_l =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Der Tensors.Lo) ~nstencil:rec_.Recovery.rval_l;
-    rv_lo_r =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Der Tensors.Lo) ~nstencil:rec_.Recovery.rval_r;
-    tr_hi =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Der Tensors.Hi) ~nstencil:edge_hi;
-    tr_lo =
-      Tensors.surface_stencil basis ~support:support_cfg ~dir
-        ~lfactor:(Tensors.Der Tensors.Lo) ~nstencil:edge_lo;
+    Sweep.dir;
+    ops = Dispatch.interpreted dk;
+    fill;
+    speed;
+    face_alpha = Some face_alpha;
+    volume = Some volume;
+    face = Some face;
+    boundary = Some boundary;
   }
 
 let create ?(n_floor = Bgk.default_n_floor) ?(vth2_floor = Bgk.default_vth2_floor)
     ~nu (lay : Layout.t) =
   if not (n_floor > 0.0 && vth2_floor > 0.0) then
     invalid_arg "Lbo.create: floors must be > 0";
-  let basis = lay.Layout.basis in
-  let np = Layout.num_basis lay in
-  let tb = Dg_cas.Legendre.tables (max 1 (Modal.max_1d_degree basis)) in
-  let maxval =
-    Array.init np (fun k ->
-        let m = Mi.to_array (Modal.index basis k) in
-        Array.fold_left (fun acc n -> acc *. tb.Dg_cas.Legendre.maxv.(n)) 1.0 m)
-  in
   let prim = Prim_moments.make lay in
+  let ps = Prim_moments.alloc_prim prim in
   {
     lay;
     nu;
     n_floor;
     vth2_floor;
-    np;
-    nc = Layout.num_cbasis lay;
-    dirs = Array.init lay.Layout.vdim (fun vdir -> make_dir lay ~vdir ~basis);
     prim;
     moments = Moments.make lay;
-    prim_state = Prim_moments.alloc_prim prim;
-    alpha = Array.make np 0.0;
-    gphase = Array.make np 0.0;
-    lin_idx =
-      Array.init lay.Layout.vdim (fun vdir ->
-          let e = Array.make lay.Layout.pdim 0 in
-          e.(lay.Layout.cdim + vdir) <- 1;
-          Option.get (Modal.find lay.Layout.basis e));
-    maxval;
+    prim_state = ps;
+    sweep = Array.init lay.Layout.vdim (fun vdir -> sweep_dir lay ~nu ~ps ~vdir);
   }
-
-let num_basis t = t.np
-let _ = num_basis
 
 (* Refresh primitive moments from the current distribution; flagged
    non-realizable cells are floor-clamped (drift toward zero flow,
@@ -191,142 +212,13 @@ let update_prim t ~(f : Field.t) =
 
 let nonrealizable_cells t = t.prim_state.Prim_moments.nonrealizable
 
-(* Fill t.alpha with nu (u_j - v_j) for the cell with config coords [cc] and
-   paired-velocity center [vc]. *)
-let fill_drift_alpha t ~vdir ~(cc : int array) ~vc =
-  let lay = t.lay in
-  let s0 = Flux.const_coeff ~dim:lay.Layout.pdim in
-  let s1 = Flux.linear_coeff ~dim:lay.Layout.pdim in
-  let dv = (Grid.dx lay.Layout.vgrid).(vdir) in
-  let ub = Field.offset t.prim_state.Prim_moments.u cc + (vdir * t.nc) in
-  let ud = Field.data t.prim_state.Prim_moments.u in
-  (* -nu v_j part: constant and linear-in-v_j modes *)
-  Array.iter (fun m -> t.alpha.(m) <- 0.0) t.dirs.(vdir).support_drift;
-  t.alpha.(lay.Layout.cfg_to_phase.(0)) <- -.t.nu *. vc *. s0;
-  t.alpha.(t.lin_idx.(vdir)) <- -.t.nu *. 0.5 *. dv *. s1;
-  (* +nu u_j(x): config coefficients scaled into the phase basis *)
-  let sv = sqrt 2.0 ** float_of_int lay.Layout.vdim in
-  for a = 0 to t.nc - 1 do
-    let dst = lay.Layout.cfg_to_phase.(a) in
-    t.alpha.(dst) <- t.alpha.(dst) +. (t.nu *. sv *. ud.(ub + a))
-  done
-
-(* Fill t.gphase with nu vth^2(x) embedded in the phase basis. *)
-let fill_gphase t ~(cc : int array) =
-  let lay = t.lay in
-  Array.iter (fun m -> t.gphase.(m) <- 0.0) lay.Layout.cfg_to_phase;
-  let sv = sqrt 2.0 ** float_of_int lay.Layout.vdim in
-  let gb = Field.offset t.prim_state.Prim_moments.vth2 cc in
-  let gd = Field.data t.prim_state.Prim_moments.vth2 in
-  for a = 0 to t.nc - 1 do
-    t.gphase.(lay.Layout.cfg_to_phase.(a)) <- t.nu *. sv *. gd.(gb + a)
-  done
-
-let drift_speed t ~vdir =
-  let acc = ref 0.0 in
-  Array.iter
-    (fun m -> acc := !acc +. (Float.abs t.alpha.(m) *. t.maxval.(m)))
-    t.dirs.(vdir).support_drift;
-  !acc
-
 (* Accumulate C[f] into [out] (+=).  [update_prim] must have been called
-   with the same f (the RK stage state). *)
-let rhs_impl t ~(f : Field.t) ~(out : Field.t) =
-  let lay = t.lay in
-  let grid = lay.Layout.grid in
-  let dx = Grid.dx grid in
-  let fd = Field.data f and od = Field.data out in
-  let cdim = lay.Layout.cdim in
-  let cc = Array.make cdim 0 in
-  let cl = Array.make lay.Layout.pdim 0 in
-  for vdir = 0 to lay.Layout.vdim - 1 do
-    let dir = cdim + vdir in
-    let k = t.dirs.(vdir) in
-    let d2 = 2.0 /. dx.(dir) in
-    let vlow = (Grid.lower lay.Layout.vgrid).(vdir) in
-    let dv = (Grid.dx lay.Layout.vgrid).(vdir) in
-    (* volume terms *)
-    Grid.iter_cells grid (fun _ c ->
-        Array.blit c 0 cc 0 cdim;
-        let vc = vlow +. ((float_of_int c.(dir) +. 0.5) *. dv) in
-        fill_drift_alpha t ~vdir ~cc ~vc;
-        fill_gphase t ~cc;
-        let foff = Field.offset f c and ooff = Field.offset out c in
-        Sparse.apply_t3_off k.vol_drift ~scale:d2 t.alpha fd ~foff od ~ooff;
-        (* twice-integrated recovery volume term: + int g w'' f *)
-        Sparse.apply_t3_off k.vol_diff ~scale:(d2 *. d2) t.gphase fd ~foff od
-          ~ooff);
-    (* interior faces only (zero-flux velocity boundaries) *)
-    Grid.iter_cells grid (fun _ c ->
-        if c.(dir) > 0 then begin
-          Array.blit c 0 cl 0 lay.Layout.pdim;
-          cl.(dir) <- c.(dir) - 1;
-          Array.blit c 0 cc 0 cdim;
-          let vc_l = vlow +. ((float_of_int cl.(dir) +. 0.5) *. dv) in
-          fill_drift_alpha t ~vdir ~cc ~vc:vc_l;
-          fill_gphase t ~cc;
-          let lam = drift_speed t ~vdir in
-          let foff_l = Field.offset f cl and foff_r = Field.offset f c in
-          let ooff_l = Field.offset out cl and ooff_r = Field.offset out c in
-          let rdx = 1.0 /. dx.(dir) in
-          (* drift: hyperbolic upwind-penalty surface update *)
-          Sparse.apply_t3_off k.sd_ll ~scale:(-.rdx) t.alpha fd ~foff:foff_l od
-            ~ooff:ooff_l;
-          Sparse.apply_t3_off k.sd_lr ~scale:(-.rdx) t.alpha fd ~foff:foff_r od
-            ~ooff:ooff_l;
-          Sparse.apply_t2_off k.pen_lr ~scale:(lam *. rdx) fd ~foff:foff_r od
-            ~ooff:ooff_l;
-          Sparse.apply_t2_off k.pen_ll ~scale:(-.lam *. rdx) fd ~foff:foff_l od
-            ~ooff:ooff_l;
-          Sparse.apply_t3_off k.sd_rl ~scale:rdx t.alpha fd ~foff:foff_l od
-            ~ooff:ooff_r;
-          Sparse.apply_t3_off k.sd_rr ~scale:rdx t.alpha fd ~foff:foff_r od
-            ~ooff:ooff_r;
-          Sparse.apply_t2_off k.pen_rr ~scale:(-.lam *. rdx) fd ~foff:foff_r od
-            ~ooff:ooff_r;
-          Sparse.apply_t2_off k.pen_rl ~scale:(lam *. rdx) fd ~foff:foff_l od
-            ~ooff:ooff_r;
-          (* diffusion faces (twice-integrated recovery):
-             n . ( w g r'(0) - w' g r(0) ) *)
-          let dd = d2 *. d2 in
-          (* left cell, outward normal +1 *)
-          Sparse.apply_t3_off k.rd_hi_l ~scale:dd t.gphase fd ~foff:foff_l od
-            ~ooff:ooff_l;
-          Sparse.apply_t3_off k.rd_hi_r ~scale:dd t.gphase fd ~foff:foff_r od
-            ~ooff:ooff_l;
-          Sparse.apply_t3_off k.rv_hi_l ~scale:(-.dd) t.gphase fd ~foff:foff_l
-            od ~ooff:ooff_l;
-          Sparse.apply_t3_off k.rv_hi_r ~scale:(-.dd) t.gphase fd ~foff:foff_r
-            od ~ooff:ooff_l;
-          (* right cell, outward normal -1 *)
-          Sparse.apply_t3_off k.rd_lo_l ~scale:(-.dd) t.gphase fd ~foff:foff_l
-            od ~ooff:ooff_r;
-          Sparse.apply_t3_off k.rd_lo_r ~scale:(-.dd) t.gphase fd ~foff:foff_r
-            od ~ooff:ooff_r;
-          Sparse.apply_t3_off k.rv_lo_l ~scale:dd t.gphase fd ~foff:foff_l od
-            ~ooff:ooff_r;
-          Sparse.apply_t3_off k.rv_lo_r ~scale:dd t.gphase fd ~foff:foff_r od
-            ~ooff:ooff_r
-        end;
-        (* zero-flux velocity boundaries: g df/dv . n = 0, leaving only the
-           -n w' g f_trace term of the twice-integrated form *)
-        let dd = d2 *. d2 in
-        if c.(dir) = 0 then begin
-          Array.blit c 0 cc 0 cdim;
-          fill_gphase t ~cc;
-          let foff = Field.offset f c and ooff = Field.offset out c in
-          Sparse.apply_t3_off k.tr_lo ~scale:dd t.gphase fd ~foff od ~ooff
-        end;
-        if c.(dir) = (Grid.cells grid).(dir) - 1 then begin
-          Array.blit c 0 cc 0 cdim;
-          fill_gphase t ~cc;
-          let foff = Field.offset f c and ooff = Field.offset out c in
-          Sparse.apply_t3_off k.tr_hi ~scale:(-.dd) t.gphase fd ~foff od ~ooff
-        end)
-  done
-
+   with the same f (the RK stage state).  The sweep context is this call's
+   g = nu vth^2(x) in the phase basis, filled by the first direction of
+   each cell. *)
 let rhs t ~(f : Field.t) ~(out : Field.t) =
-  Dg_obs.Obs.span "lbo_rhs" (fun () -> rhs_impl t ~f ~out)
+  Dg_obs.Obs.span "lbo_rhs" (fun () ->
+      Sweep.run t.lay t.sweep (Array.make (Layout.num_basis t.lay) 0.0) ~f ~out)
 
 (* Stable explicit time step for the stiffest (diffusion) part:
    dt <= dv^2 / (2 nu vth2_max (2p+1)^2); a conservative bound. *)
@@ -334,13 +226,10 @@ let suggest_dt t =
   let lay = t.lay in
   let p = Modal.poly_order lay.Layout.basis in
   let vth2max = ref 1e-30 in
+  let b = Array.make (Layout.num_cbasis lay) 0.0 in
   Grid.iter_cells lay.Layout.cgrid (fun _ c ->
-      let v =
-        Modal.cell_average lay.Layout.cbasis
-          (let b = Array.make t.nc 0.0 in
-           Field.read_block t.prim_state.Prim_moments.vth2 c b;
-           b)
-      in
+      Field.read_block t.prim_state.Prim_moments.vth2 c b;
+      let v = Modal.cell_average lay.Layout.cbasis b in
       if v > !vth2max then vth2max := v);
   let dt = ref infinity in
   Array.iter

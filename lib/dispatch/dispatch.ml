@@ -58,9 +58,23 @@ let find_bundle (lay : Layout.t) ~dir =
     ~poly_order:(Modal.poly_order basis) ~cdim:lay.Layout.cdim
     ~vdim:lay.Layout.vdim ~dir
 
+let interpreted (dk : Tensors.dir_kernels) =
+  let fc = dk.Tensors.face in
+  {
+    specialized = false;
+    vol = Interp3 dk.Tensors.vol;
+    vol_stream = None;
+    nface = fc.Tensors.nface;
+    restrict_lo = Interp2 fc.Tensors.restrict_lo;
+    restrict_hi = Interp2 fc.Tensors.restrict_hi;
+    face = Interp3 fc.Tensors.triple;
+    lift_lo = Interp2 fc.Tensors.lift_lo;
+    lift_hi = Interp2 fc.Tensors.lift_hi;
+    mults = 0;
+  }
+
 let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
   let bundle = if use_generated then find_bundle lay ~dir else None in
-  let fc = dk.Tensors.face in
   match bundle with
   | Some b ->
       Dg_obs.Obs.count "dispatch.specialized_dirs" 1;
@@ -72,7 +86,7 @@ let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
         specialized = true;
         vol = Gen3 b.K.vol;
         vol_stream = b.K.vol_stream;
-        nface = fc.Tensors.nface;
+        nface = dk.Tensors.face.Tensors.nface;
         restrict_lo = Gen2 b.K.restrict_lo;
         restrict_hi = Gen2 b.K.restrict_hi;
         face = Gen3 b.K.face;
@@ -82,18 +96,7 @@ let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
       }
   | None ->
       Dg_obs.Obs.count "dispatch.interpreted_dirs" 1;
-      {
-        specialized = false;
-        vol = Interp3 dk.Tensors.vol;
-        vol_stream = None;
-        nface = fc.Tensors.nface;
-        restrict_lo = Interp2 fc.Tensors.restrict_lo;
-        restrict_hi = Interp2 fc.Tensors.restrict_hi;
-        face = Interp3 fc.Tensors.triple;
-        lift_lo = Interp2 fc.Tensors.lift_lo;
-        lift_hi = Interp2 fc.Tensors.lift_hi;
-        mults = 0;
-      }
+      interpreted dk
 
 (* The flux of one face in face form (Tensors.face), written to
    [face.(2 nf ..)]: with a = R_hi f_L and b = R_lo f_R the face traces,

@@ -45,6 +45,10 @@ type dir_ops = {
 
 val find_bundle : Layout.t -> dir:int -> K.bundle option
 
+val interpreted : Tensors.dir_kernels -> dir_ops
+(** The interpreted sparse applications of a direction's tensors, for
+    any flux support (the registry covers only the Vlasov supports). *)
+
 val make : use_generated:bool -> Layout.t -> dir:int -> Tensors.dir_kernels -> dir_ops
 (** Dispatch for one direction: the generated bundle when [use_generated]
     and {!find_bundle} hits; else the interpreted tensors [dk].

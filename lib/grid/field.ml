@@ -87,18 +87,14 @@ let bounds_check =
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
 
-let checked_cell_offset f (c : int array) =
-  let ndim = Grid.ndim f.grid in
-  if Array.length c <> ndim then
-    invalid_arg "Field.checked_cell_offset: coordinate rank mismatch";
+(* Validated offset of the cell at the first [ndim] coordinates of [c]. *)
+let checked_offset ~who f (c : int array) =
   let idx = ref f.origin in
-  for d = 0 to ndim - 1 do
+  for d = 0 to Grid.ndim f.grid - 1 do
     let cd = c.(d) + f.ghost.(d) in
     if cd < 0 || cd >= f.ext.(d) then
       invalid_arg
-        (Printf.sprintf
-           "Field.checked_cell_offset: coordinate %d out of \
-            [%d, %d) in dim %d"
+        (Printf.sprintf "%s: coordinate %d out of [%d, %d) in dim %d" who
            c.(d) (-f.ghost.(d))
            (f.ext.(d) - f.ghost.(d))
            d);
@@ -106,8 +102,27 @@ let checked_cell_offset f (c : int array) =
   done;
   !idx * f.ncomp
 
+let checked_cell_offset f (c : int array) =
+  if Array.length c <> Grid.ndim f.grid then
+    invalid_arg "Field.checked_cell_offset: coordinate rank mismatch";
+  checked_offset ~who:"Field.checked_cell_offset" f c
+
 let unsafe_cell_offset f (c : int array) =
   if bounds_check then checked_cell_offset f c
+  else begin
+    let idx = ref f.origin in
+    for d = 0 to Grid.ndim f.grid - 1 do
+      idx := !idx + (Array.unsafe_get c d * Array.unsafe_get f.stride d)
+    done;
+    !idx * f.ncomp
+  end
+
+let unsafe_leading_offset f (c : int array) =
+  if bounds_check then begin
+    if Array.length c < Grid.ndim f.grid then
+      invalid_arg "Field.unsafe_leading_offset: fewer coordinates than dims";
+    checked_offset ~who:"Field.unsafe_leading_offset" f c
+  end
   else begin
     let idx = ref f.origin in
     for d = 0 to Grid.ndim f.grid - 1 do

@@ -71,6 +71,13 @@ val unsafe_cell_offset : t -> int array -> int
     {!checked_cell_offset}, restoring full per-coordinate validation on
     the hot path for debugging. *)
 
+val unsafe_leading_offset : t -> int array -> int
+(** As {!unsafe_cell_offset} for the cell at the first [Grid.ndim (grid
+    t)] entries of [c], which may be longer: the configuration cell of
+    phase-space coordinates, for fields on the configuration grid.
+    [VMDG_BOUNDS_CHECK=1] validates each of those coordinates, and that
+    [c] has at least that many entries. *)
+
 val get : t -> int array -> int -> float
 val set : t -> int array -> int -> float -> unit
 val read_block : t -> int array -> float array -> unit

@@ -67,6 +67,18 @@ let acceleration_support (lay : Layout.t) ~vdir =
   done;
   Array.of_list (List.rev !acc)
 
+(* Indices that carry the drift nu (u_j(x) - v_j) of the Dougherty
+   collision operator along velocity dimension [vdir] (0-based): every
+   configuration mode plus the mode linear in v_j.  Unlike the Vlasov
+   supports it holds a mode of nonzero degree along its own direction: the
+   two cells of a face in that direction expand the same continuous flux
+   with different constant coefficients. *)
+let drift_support (lay : Layout.t) ~vdir =
+  let e = Array.make lay.Layout.pdim 0 in
+  e.(lay.Layout.cdim + vdir) <- 1;
+  let lin = Option.get (Modal.find lay.Layout.basis e) in
+  Array.append lay.Layout.cfg_to_phase [| lin |]
+
 (* --- generic builders --------------------------------------------------- *)
 
 (* Build a 3-tensor with entries

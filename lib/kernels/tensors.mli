@@ -19,6 +19,11 @@ val acceleration_support : Layout.t -> vdir:int -> int array
 (** Basis indices carrying q/m (E + v x B): configuration modes plus
     single-linear velocity modes transverse to [vdir]. *)
 
+val drift_support : Layout.t -> vdir:int -> int array
+(** Basis indices carrying the collisional drift nu (u_j(x) - v_j) along
+    velocity dimension [vdir] (0-based): the configuration modes in
+    [cfg_to_phase] order, then the mode linear in v_j. *)
+
 (** {1 Volume tensors} *)
 
 val volume : Modal.t -> support:int array -> dir:int -> Sparse.t3

@@ -18,7 +18,10 @@ type t = {
   max_wall : float option;
       (** per-job wall budget, summed over slices (parked time free) *)
   workers : int;  (** worker slots charged against the engine budget *)
-  checkpoint_every : int;  (** periodic checkpoint cadence (0 = only stops) *)
+  checkpoint_every : int;
+      (** periodic checkpoint cadence K (0 = only stops): a checkpoint is
+          written at the first healthy health-check window at least K
+          steps after the previous one, never between windows *)
   keep_last : int option;
   check_every : int;  (** health-check window ([Retry.policy]) *)
   max_retries : int;

@@ -9,18 +9,20 @@
    when the registry covers the direction, the interpreted sparse loops
    otherwise.
 
-   The update is a single fused sweep: per cell and direction the flux
-   expansion is built once and feeds the volume term and the cell's lower
-   face (both sides of it), with the upper boundary face handled at the
-   grid edge — every interior face is visited exactly once.  A solver value
-   is immutable after [create]: each [rhs] call allocates its own few
-   words of scratch, so concurrent sweeps over one solver are safe.  The
-   sweep iterates the grid of the *field* (not the layout), so block-local
-   fields of a decomposition reuse the same solver.  There is one sweep
-   body: with Dg_obs tracing on it also times its phases and files sweep
-   counters, and with tracing off each phase timer is a single branch.  The coupling tensors come from a
-   process-wide cache keyed by basis identity, so creates after the first
-   for a basis skip the CAS work.
+   The update is one pass of the shared hyperbolic sweep (Sweep), which
+   the Dougherty collision drift runs on too: per cell and direction the
+   flux expansion is built once and feeds the volume term and the cell's
+   lower face (both sides of it), with the upper boundary face handled at
+   the grid edge — every interior face is visited exactly once.  A solver
+   value is immutable after [create]: each [rhs] call allocates its own
+   few words of scratch, so concurrent sweeps over one solver are safe.
+   The sweep iterates the grid of the *field* (not the layout), so
+   block-local fields of a decomposition reuse the same solver.  With
+   Dg_obs tracing on the same sweep body also times its phases, which
+   [rhs] files with its sweep counters; with tracing off each phase timer
+   is a single branch.  The coupling tensors come from a process-wide
+   cache keyed by basis identity, so creates after the first for a basis
+   skip the CAS work.
 
    Boundary treatment: configuration-space ghosts must be synchronized by
    the caller before [rhs]; velocity-space boundaries are zero-flux (the
@@ -41,24 +43,10 @@ type t = {
   lay : Layout.t;
   flux : flux_kind;
   qm : float; (* charge-to-mass ratio *)
-  dirs : Tensors.dir_kernels array; (* interpreted kernel bundle per dim *)
-  ops : Dispatch.dir_ops array; (* dispatched applications per dim *)
   accel : Flux.accel_ctx array; (* one projection map per velocity dim *)
-  np : int;
-  nc : int;
-  nface_max : int; (* largest face basis over the directions *)
+  sweep : Field.t option Sweep.dir array; (* every direction *)
+  stream : Field.t option Sweep.dir array; (* configuration directions *)
 }
-
-(* Phase timers of one sweep while tracing: slot 0 holds the running mark,
-   the others the seconds accumulated by each phase of the sweep. *)
-let ph_fill = 1
-let ph_vol = 2
-let ph_surf = 3
-
-let[@inline] mark tr (ph : float array) = if tr then ph.(0) <- Obs.now ()
-
-let[@inline] tick tr (ph : float array) i =
-  if tr then ph.(i) <- ph.(i) +. (Obs.now () -. ph.(0))
 
 (* Process-wide kernel cache.  [Tensors.make_dir] output depends only on
    the basis identity (family, poly order, cdim, vdim) — never on the grid
@@ -103,185 +91,115 @@ let make_dirs (lay : Layout.t) =
           Hashtbl.add kcache key dirs;
           dirs)
 
+(* The sweep data of one direction.  Streaming: alpha = v_d has two
+   coefficients fixed by the paired velocity cell.  Acceleration: the
+   projection map of q/m (E + v x B) over the configuration cell's EM
+   block; the sweep context is the EM field. *)
+let sweep_dir (lay : Layout.t) ~flux ~accel (dk : Tensors.dir_kernels) ops :
+    Field.t option Sweep.dir =
+  let dir = dk.Tensors.dir and support = dk.Tensors.support in
+  let central = flux = Central in
+  let fill, speed =
+    if Layout.is_config_dir lay dir then begin
+      let vd = Layout.paired_velocity_dim lay dir - lay.Layout.cdim in
+      let dv = (Grid.dx lay.Layout.vgrid).(vd) in
+      ( (fun _ _ vcenter alpha ->
+          Flux.streaming_alpha lay ~dir ~vcenter:vcenter.(vd) ~dv ~support alpha),
+        if central then fun _ _ -> 0.0
+        else fun vcenter _ -> Flux.streaming_max_speed ~vcenter:vcenter.(vd) ~dv )
+    end
+    else begin
+      let ctx = accel.(dir - lay.Layout.cdim) in
+      let nc = Layout.num_cbasis lay in
+      ( (fun em c vcenter alpha ->
+          match em with
+          | None ->
+              (* no fields: zero acceleration *)
+              Array.iter (fun m -> alpha.(m) <- 0.0) support
+          | Some emf ->
+              Flux.accel_alpha ctx ~em:(Field.data emf)
+                ~em_off:(Field.unsafe_leading_offset emf c)
+                ~ncbasis:nc ~vcenter alpha),
+        if central then fun _ _ -> 0.0
+        else fun _ alpha -> Flux.accel_max_speed ctx alpha )
+    end
+  in
+  {
+    Sweep.dir;
+    ops;
+    fill;
+    speed;
+    face_alpha = None;
+    volume = None;
+    face = None;
+    boundary = None;
+  }
+
 let create ?(flux = Upwind) ?(use_kernels = true) ~qm (lay : Layout.t) =
-  let pdim = lay.Layout.pdim in
-  let dirs = make_dirs lay in
-  let ops =
-    Array.init pdim (fun dir ->
-        Dispatch.make ~use_generated:use_kernels lay ~dir dirs.(dir))
+  let accel =
+    Array.init lay.Layout.vdim (fun vdir -> Flux.make_accel_ctx lay ~vdir ~qm)
+  in
+  let sweep =
+    Array.map
+      (fun dk ->
+        sweep_dir lay ~flux ~accel dk
+          (Dispatch.make ~use_generated:use_kernels lay ~dir:dk.Tensors.dir dk))
+      (make_dirs lay)
   in
   {
     lay;
     flux;
     qm;
-    dirs;
-    ops;
-    accel = Array.init lay.Layout.vdim (fun vdir -> Flux.make_accel_ctx lay ~vdir ~qm);
-    np = Layout.num_basis lay;
-    nc = Layout.num_cbasis lay;
-    nface_max = Array.fold_left (fun m o -> max m o.Dispatch.nface) 0 ops;
+    accel;
+    sweep;
+    stream = Array.sub sweep 0 lay.Layout.cdim;
   }
 
 let layout t = t.lay
 let qm t = t.qm
-let num_basis t = t.np
+let num_basis t = Layout.num_basis t.lay
 let flux_kind t = t.flux
-let specialized_dirs t = Array.map (fun o -> o.Dispatch.specialized) t.ops
-
-(* Velocity-cell center of velocity dimension [k] for phase coordinates [c]. *)
-let vcenter_of t (c : int array) k =
-  let vg = t.lay.Layout.vgrid in
-  (Grid.lower vg).(k) +. ((float_of_int c.(t.lay.Layout.cdim + k) +. 0.5) *. (Grid.dx vg).(k))
-
-let fill_vcenter t (c : int array) (out : float array) =
-  for k = 0 to t.lay.Layout.vdim - 1 do
-    out.(k) <- vcenter_of t c k
-  done
-
-(* Fill [alpha] with the flux expansion for direction [dir] in the cell with
-   phase coordinates [c].  For velocity directions [em] gives the EM
-   coefficient field over the configuration grid; [cc] is caller-provided
-   scratch of [cdim] ints (no per-cell allocation on the hot path). *)
-let fill_alpha t ~dir (c : int array) ~(em : Field.t option) ~(cc : int array)
-    (vcenter : float array) (alpha : float array) =
-  if Layout.is_config_dir t.lay dir then begin
-    let vd = Layout.paired_velocity_dim t.lay dir - t.lay.Layout.cdim in
-    let dv = (Grid.dx t.lay.Layout.vgrid).(vd) in
-    Flux.streaming_alpha t.lay ~dir ~vcenter:vcenter.(vd) ~dv
-      ~support:t.dirs.(dir).Tensors.support alpha
-  end
-  else begin
-    let vdir = dir - t.lay.Layout.cdim in
-    match em with
-    | None ->
-        (* no fields: zero acceleration *)
-        Array.iter (fun m -> alpha.(m) <- 0.0) t.dirs.(dir).Tensors.support
-    | Some emf ->
-        Array.blit c 0 cc 0 t.lay.Layout.cdim;
-        let em_off = Field.unsafe_cell_offset emf cc in
-        Flux.accel_alpha t.accel.(vdir) ~em:(Field.data emf) ~em_off
-          ~ncbasis:t.nc ~vcenter alpha
-  end
-
-(* Penalty speed for the face with flux expansion already in [alpha]. *)
-let face_speed t ~dir (vcenter : float array) (alpha : float array) =
-  match t.flux with
-  | Central -> 0.0
-  | Upwind ->
-      if Layout.is_config_dir t.lay dir then begin
-        let vd = Layout.paired_velocity_dim t.lay dir - t.lay.Layout.cdim in
-        let dv = (Grid.dx t.lay.Layout.vgrid).(vd) in
-        Flux.streaming_max_speed ~vcenter:vcenter.(vd) ~dv
-      end
-      else Flux.accel_max_speed t.accel.(dir - t.lay.Layout.cdim) alpha
+let specialized_dirs t =
+  Array.map (fun d -> d.Sweep.ops.Dispatch.specialized) t.sweep
 
 (* File a traced sweep's phase times and counters under the caller's
    current span.  Every cell fills the flux expansion once per active
    direction: each configuration direction, plus the velocity directions
    when there is a field. *)
-let file_sweep t ~ncells ~(em : Field.t option) (ph : float array) =
+let file_sweep t ~ncells ~(em : Field.t option) (tm : Sweep.timers) =
   let cdim = t.lay.Layout.cdim and pdim = t.lay.Layout.pdim in
   let n_fill = ncells * if em = None then cdim else pdim in
-  Obs.add_time "fill_alpha" ~seconds:ph.(ph_fill) ~count:n_fill;
-  Obs.add_time "volume" ~seconds:ph.(ph_vol) ~count:n_fill;
-  Obs.add_time "surface" ~seconds:ph.(ph_surf) ~count:n_fill;
+  Obs.add_time "fill_alpha" ~seconds:tm.Sweep.fill_s ~count:n_fill;
+  Obs.add_time "volume" ~seconds:tm.Sweep.volume_s ~count:n_fill;
+  Obs.add_time "surface" ~seconds:tm.Sweep.surface_s ~count:n_fill;
   Obs.count "rhs.sweeps" 1;
   Obs.count "rhs.cells" ncells;
   Obs.count "rhs.fill_alpha" n_fill;
   for dir = 0 to pdim - 1 do
     if dir < cdim || em <> None then
-      if t.ops.(dir).Dispatch.specialized then begin
+      let ops = t.sweep.(dir).Sweep.ops in
+      if ops.Dispatch.specialized then begin
         Obs.count "rhs.celldirs_generated" ncells;
-        Obs.count "rhs.mults_generated" (ncells * t.ops.(dir).Dispatch.mults)
+        Obs.count "rhs.mults_generated" (ncells * ops.Dispatch.mults)
       end
       else Obs.count "rhs.celldirs_interpreted" ncells
   done
 
-(* Full DG right-hand side: out := volume + surface contributions, one fused
-   sweep.  Per cell and direction the flux expansion is single-valued on the
-   lower face (streaming: v is globally linear with the face-tangential
-   velocity coordinates shared; acceleration: independent of the face-normal
-   velocity coordinate and of the configuration cell it straddles), so one
-   [fill_alpha] serves the volume term and both sides of the face.  Each
-   face restricts both cells' traces to the face basis, forms one flux G
-   there ([face_flux]) and lifts it: out_L -= L_hi G, out_R += L_lo G.  The
-   tracing flag is read once per call; when it is off every phase timer is
-   one predictable branch. *)
+(* Full DG right-hand side: out := volume + surface contributions, one
+   pass of the shared sweep.  Per cell and direction the flux expansion is
+   single-valued on the lower face (streaming: v is globally linear with
+   the face-tangential velocity coordinates shared; acceleration:
+   independent of the face-normal velocity coordinate and of the
+   configuration cell it straddles), so one fill serves the volume term
+   and both sides of the face.  Without fields there is no acceleration
+   and only the configuration directions are swept.  The tracing flag is
+   read once per call; when it is off every phase timer is one
+   predictable branch. *)
 let rhs t ~(f : Field.t) ~(em : Field.t option) ~(out : Field.t) =
-  let tr = Obs.enabled () in
-  let lay = t.lay in
-  let grid = Field.grid f in
-  let dx = Grid.dx grid in
-  let dvx = Grid.dx lay.Layout.vgrid in
-  let cells = Grid.cells grid in
-  let pdim = lay.Layout.pdim and cdim = lay.Layout.cdim in
-  let fd = Field.data f and od = Field.data out in
-  (* per-call scratch: flux expansion, velocity-cell centers, neighbour
-     coordinates, configuration coordinates (EM cell lookup), the face
-     traces and flux, and the phase timers while tracing *)
-  let alpha = Array.make t.np 0.0 and vcenter = Array.make lay.Layout.vdim 0.0 in
-  let cl = Array.make pdim 0 and cc = Array.make cdim 0 in
-  let face = Array.make (3 * t.nface_max) 0.0 in
-  let ph = Array.make (ph_surf + 1) 0.0 in
+  let timers = if Obs.enabled () then Some (Sweep.timers ()) else None in
   Field.fill out 0.0;
-  Grid.iter_cells grid (fun _ c ->
-      let foff = Field.unsafe_cell_offset f c in
-      let ooff = Field.unsafe_cell_offset out c in
-      fill_vcenter t c vcenter;
-      for dir = 0 to pdim - 1 do
-        let is_cfg = dir < cdim in
-        (* without fields there is no acceleration: skip velocity dirs *)
-        if is_cfg || em <> None then begin
-          let ops = t.ops.(dir) in
-          let rdx = 1.0 /. dx.(dir) in
-          let gof = 2 * ops.Dispatch.nface in
-          mark tr ph;
-          fill_alpha t ~dir c ~em ~cc vcenter alpha;
-          tick tr ph ph_fill;
-          (* volume term *)
-          mark tr ph;
-          (match ops.Dispatch.vol_stream with
-          | Some k ->
-              (* vd = dir for configuration directions (Layout pairing) *)
-              k ~wv:vcenter.(dir) ~dv:dvx.(dir) ~rdx2:(2.0 *. rdx) fd ~foff od
-                ~ooff
-          | None ->
-              Dispatch.apply_t3 ops.Dispatch.vol ~scale:(2.0 *. rdx) alpha fd
-                ~foff od ~ooff);
-          tick tr ph ph_vol;
-          (* lower face of cell [c]: L = c - e_dir (possibly ghost), R = c;
-             velocity directions use zero-flux domain boundaries *)
-          if not ((not is_cfg) && c.(dir) = 0) then begin
-            mark tr ph;
-            Array.blit c 0 cl 0 pdim;
-            cl.(dir) <- c.(dir) - 1;
-            let lam = face_speed t ~dir vcenter alpha in
-            Dispatch.face_flux ops ~rdx ~lam alpha fd
-              ~foff_l:(Field.unsafe_cell_offset f cl) ~foff_r:foff face;
-            (* update the left cell unless it is a ghost *)
-            if cl.(dir) >= 0 then
-              Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face
-                ~foff:gof od ~ooff:(Field.unsafe_cell_offset out cl);
-            Dispatch.apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od
-              ~ooff;
-            tick tr ph ph_surf
-          end;
-          (* upper boundary face (config directions only; ghost data):
-             L = c (interior), R = ghost *)
-          if is_cfg && c.(dir) = cells.(dir) - 1 then begin
-            mark tr ph;
-            Array.blit c 0 cl 0 pdim;
-            cl.(dir) <- c.(dir) + 1;
-            let lam = face_speed t ~dir vcenter alpha in
-            Dispatch.face_flux ops ~rdx ~lam alpha fd ~foff_l:foff
-              ~foff_r:(Field.unsafe_cell_offset f cl) face;
-            Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof
-              od ~ooff;
-            tick tr ph ph_surf
-          end
-        end
-      done);
-  if tr then file_sweep t ~ncells:(Grid.num_cells grid) ~em ph
+  Sweep.run ?timers t.lay (if em = None then t.stream else t.sweep) em ~f ~out;
+  Option.iter (file_sweep t ~ncells:(Grid.num_cells (Field.grid f)) ~em) timers
 
 (* Per-direction maximum characteristic speeds, for the CFL condition.
    Streaming speeds depend only on the velocity-domain extent; acceleration
@@ -302,7 +220,8 @@ let max_speeds t ~(em : Field.t option) =
   | Some emf ->
       let nvc = 1 lsl lay.Layout.vdim in
       let vcorner = Array.make lay.Layout.vdim 0.0 in
-      let alpha = Array.make t.np 0.0 in
+      let alpha = Array.make (Layout.num_basis lay) 0.0 in
+      let nc = Layout.num_cbasis lay in
       Grid.iter_cells lay.Layout.cgrid (fun _ cc ->
           let em_off = Field.offset emf cc in
           for corner = 0 to nvc - 1 do
@@ -313,7 +232,7 @@ let max_speeds t ~(em : Field.t option) =
             done;
             for vdir = 0 to lay.Layout.vdim - 1 do
               Flux.accel_alpha t.accel.(vdir) ~em:(Field.data emf) ~em_off
-                ~ncbasis:t.nc ~vcenter:vcorner alpha;
+                ~ncbasis:nc ~vcenter:vcorner alpha;
               let s = Flux.accel_max_speed t.accel.(vdir) alpha in
               let d = lay.Layout.cdim + vdir in
               if s > speeds.(d) then speeds.(d) <- s

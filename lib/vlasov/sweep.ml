@@ -1,0 +1,147 @@
+(* The one hyperbolic DG sweep (interface docs in sweep.mli).  Each face
+   is visited once, from the cell above it: the lower cell's trace is
+   restricted, one flux G is formed on the face basis, and out_L -= L_hi G,
+   out_R += L_lo G.  The body reads only per-direction data, so it never
+   asks which operator it serves, and keeps all scratch per call. *)
+
+module Layout = Dg_kernels.Layout
+module Tensors = Dg_kernels.Tensors
+module Dispatch = Dg_dispatch.Dispatch
+module Grid = Dg_grid.Grid
+module Field = Dg_grid.Field
+module Obs = Dg_obs.Obs
+
+type 'a dir = {
+  dir : int;
+  ops : Dispatch.dir_ops;
+  fill : 'a -> int array -> float array -> float array -> unit;
+  speed : float array -> float array -> float;
+  face_alpha : (float array -> float array -> unit) option;
+  volume : ('a -> float array -> foff:int -> float array -> ooff:int -> unit) option;
+  face :
+    ('a ->
+    float array ->
+    foff_l:int ->
+    foff_r:int ->
+    float array ->
+    ooff_l:int ->
+    ooff_r:int ->
+    unit)
+    option;
+  boundary :
+    ('a -> Tensors.side -> float array -> foff:int -> float array -> ooff:int -> unit)
+    option;
+}
+
+type timers = {
+  mutable since : float;
+  mutable fill_s : float;
+  mutable volume_s : float;
+  mutable surface_s : float;
+}
+
+let timers () = { since = 0.0; fill_s = 0.0; volume_s = 0.0; surface_s = 0.0 }
+
+(* Never written: untraced sweeps only read [since] behind the flag. *)
+let untimed = timers ()
+
+let[@inline] mark tr tm = if tr then tm.since <- Obs.now ()
+let[@inline] lap tm = Obs.now () -. tm.since
+
+let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
+    ~(out : Field.t) =
+  let tr, tm = match timers with Some tm -> (true, tm) | None -> (false, untimed) in
+  let grid = Field.grid f in
+  let dx = Grid.dx grid and cells = Grid.cells grid in
+  let vlo = Grid.lower lay.Layout.vgrid and dvx = Grid.dx lay.Layout.vgrid in
+  let pdim = lay.Layout.pdim and cdim = lay.Layout.cdim in
+  let vdim = lay.Layout.vdim in
+  let fd = Field.data f and od = Field.data out in
+  (* per-call scratch: flux expansion and its lower-face twin,
+     velocity-cell centers, neighbour coordinates, face traces and flux *)
+  let np = Layout.num_basis lay in
+  let alpha = Array.make np 0.0 and falpha = Array.make np 0.0 in
+  let vcenter = Array.make vdim 0.0 and cl = Array.make pdim 0 in
+  let nface = Array.fold_left (fun m d -> max m d.ops.Dispatch.nface) 0 dirs in
+  let face = Array.make (3 * nface) 0.0 in
+  Grid.iter_cells grid (fun _ c ->
+      let foff = Field.unsafe_cell_offset f c in
+      let ooff = Field.unsafe_cell_offset out c in
+      for k = 0 to vdim - 1 do
+        vcenter.(k) <- vlo.(k) +. ((float_of_int c.(cdim + k) +. 0.5) *. dvx.(k))
+      done;
+      for i = 0 to Array.length dirs - 1 do
+        let d = dirs.(i) in
+        let dir = d.dir and ops = d.ops in
+        let is_cfg = dir < cdim in
+        let rdx = 1.0 /. dx.(dir) in
+        let gof = 2 * ops.Dispatch.nface in
+        mark tr tm;
+        d.fill ctx c vcenter alpha;
+        if tr then tm.fill_s <- tm.fill_s +. lap tm;
+        (* volume term *)
+        mark tr tm;
+        (match ops.Dispatch.vol_stream with
+        | Some k ->
+            (* vd = dir for configuration directions (Layout pairing) *)
+            k ~wv:vcenter.(dir) ~dv:dvx.(dir) ~rdx2:(2.0 *. rdx) fd ~foff od
+              ~ooff
+        | None ->
+            Dispatch.apply_t3 ops.Dispatch.vol ~scale:(2.0 *. rdx) alpha fd
+              ~foff od ~ooff);
+        (match d.volume with Some h -> h ctx fd ~foff od ~ooff | None -> ());
+        if tr then tm.volume_s <- tm.volume_s +. lap tm;
+        (* lower face of cell [c]: L = c - e_dir (possibly ghost), R = c;
+           velocity directions use zero-flux domain boundaries *)
+        if is_cfg || c.(dir) > 0 then begin
+          mark tr tm;
+          Array.blit c 0 cl 0 pdim;
+          cl.(dir) <- c.(dir) - 1;
+          let a =
+            match d.face_alpha with
+            | None -> alpha
+            | Some h ->
+                h alpha falpha;
+                falpha
+          in
+          let lam = d.speed vcenter a in
+          let foff_l = Field.unsafe_cell_offset f cl in
+          Dispatch.face_flux ops ~rdx ~lam a fd ~foff_l ~foff_r:foff face;
+          (* update the left cell unless it is a ghost *)
+          if cl.(dir) >= 0 then begin
+            let ooff_l = Field.unsafe_cell_offset out cl in
+            Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof
+              od ~ooff:ooff_l;
+            Dispatch.apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od
+              ~ooff;
+            match d.face with
+            | Some h -> h ctx fd ~foff_l ~foff_r:foff od ~ooff_l ~ooff_r:ooff
+            | None -> ()
+          end
+          else
+            Dispatch.apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od
+              ~ooff;
+          if tr then tm.surface_s <- tm.surface_s +. lap tm
+        end;
+        (* upper boundary face (configuration directions only; ghost
+           data): L = c (interior), R = ghost *)
+        if is_cfg && c.(dir) = cells.(dir) - 1 then begin
+          mark tr tm;
+          Array.blit c 0 cl 0 pdim;
+          cl.(dir) <- c.(dir) + 1;
+          let lam = d.speed vcenter alpha in
+          Dispatch.face_flux ops ~rdx ~lam alpha fd ~foff_l:foff
+            ~foff_r:(Field.unsafe_cell_offset f cl) face;
+          Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof od
+            ~ooff;
+          if tr then tm.surface_s <- tm.surface_s +. lap tm
+        end;
+        (* velocity-domain boundary faces *)
+        match d.boundary with
+        | Some h when not is_cfg ->
+            mark tr tm;
+            if c.(dir) = 0 then h ctx Tensors.Lo fd ~foff od ~ooff;
+            if c.(dir) = cells.(dir) - 1 then h ctx Tensors.Hi fd ~foff od ~ooff;
+            if tr then tm.surface_s <- tm.surface_s +. lap tm
+        | _ -> ()
+      done)

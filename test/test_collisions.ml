@@ -19,8 +19,8 @@ let check_close ?(tol = 1e-9) msg a b =
   if not (Dg_util.Float_cmp.close ~rtol:tol ~atol:tol a b) then
     Alcotest.failf "%s: %.12g <> %.12g" msg a b
 
-let make_lay ?(cells_c = 4) ?(cells_v = 16) ?(vmax = 6.0) ~vdim ~p () =
-  let cdim = 1 in
+let make_lay ?(cdim = 1) ?(cells_c = 4) ?(cells_v = 16) ?(vmax = 6.0) ~vdim ~p
+    () =
   let pdim = cdim + vdim in
   let cells = Array.init pdim (fun d -> if d < cdim then cells_c else cells_v) in
   let lower = Array.init pdim (fun d -> if d < cdim then 0.0 else -.vmax) in
@@ -87,27 +87,197 @@ let test_prim_moments () =
           done))
     [ 1; 2 ]
 
-(* LBO conserves particle number exactly (zero-flux velocity boundaries). *)
+(* LBO conserves particle number exactly (zero-flux velocity boundaries),
+   in every velocity dimensionality. *)
 let test_lbo_density_conservation () =
-  let lay = make_lay ~vdim:1 ~p:2 () in
-  let np = Layout.num_basis lay in
-  let rng = Random.State.make [| 7 |] in
-  let f = phase_field lay ~ncomp:np in
-  (* positive-ish random distribution *)
-  Dg_app.Vm_app.project_phase lay
-    ~f:(fun ~pos ~vel ->
-      (1.0 +. (0.3 *. sin (2.0 *. Float.pi *. pos.(0))))
-      *. maxwellian ~n0:1.0 ~u:[| 0.5 |] ~vt:1.0 vel
-      *. (1.0 +. (0.05 *. Random.State.float rng 1.0)))
-    f;
-  let lbo = Lbo.create ~nu:0.8 lay in
-  Lbo.update_prim lbo ~f;
-  let out = phase_field lay ~ncomp:np in
-  Field.fill out 0.0;
-  Lbo.rhs lbo ~f ~out;
-  let mom = Moments.make lay in
-  let dmass = Moments.total_mass mom ~f:out in
-  check_close ~tol:1e-10 "lbo d(mass)/dt" 0.0 dmass
+  List.iter
+    (fun (vdim, cells_v) ->
+      let lay = make_lay ~vdim ~p:2 ~cells_v () in
+      let np = Layout.num_basis lay in
+      let rng = Random.State.make [| 7 |] in
+      let f = phase_field lay ~ncomp:np in
+      let u = Array.init vdim (fun k -> 0.5 -. (0.3 *. float_of_int k)) in
+      (* positive-ish random distribution *)
+      Dg_app.Vm_app.project_phase lay
+        ~f:(fun ~pos ~vel ->
+          (1.0 +. (0.3 *. sin (2.0 *. Float.pi *. pos.(0))))
+          *. maxwellian ~n0:1.0 ~u ~vt:1.0 vel
+          *. (1.0 +. (0.05 *. Random.State.float rng 1.0)))
+        f;
+      let lbo = Lbo.create ~nu:0.8 lay in
+      Lbo.update_prim lbo ~f;
+      let out = phase_field lay ~ncomp:np in
+      Field.fill out 0.0;
+      Lbo.rhs lbo ~f ~out;
+      let mom = Moments.make lay in
+      let dmass = Moments.total_mass mom ~f:out in
+      check_close ~tol:1e-10
+        (Printf.sprintf "lbo d(mass)/dt (1x%dv)" vdim)
+        0.0 dmass)
+    [ (1, 16); (2, 8); (3, 5) ]
+
+(* The operator the shared sweep replaced, kept here as the oracle: per
+   velocity direction a volume pass, then a pass over the interior faces
+   that refills alpha for the left cell and g at every face and applies
+   the volume-lifted drift tensors T^{(s_l,s_n)} (edge(m_dir,+1) folded)
+   with the four penalty tensors, the eight recovery tensors, and at the
+   domain edges the two zero-flux trace tensors. *)
+module Tensors = Dg_kernels.Tensors
+module Sparse = Dg_kernels.Sparse
+module Flux = Dg_kernels.Flux
+module Recovery = Dg_kernels.Recovery
+module Leg = Dg_cas.Legendre
+
+let two_pass_rhs (lay : Layout.t) ~nu ~(ps : Prim.prim) ~(f : Field.t)
+    ~(out : Field.t) =
+  let open Tensors in
+  let basis = lay.Layout.basis in
+  let cdim = lay.Layout.cdim and pdim = lay.Layout.pdim in
+  let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
+  let grid = lay.Layout.grid and vg = lay.Layout.vgrid in
+  let dx = Grid.dx grid and cells = Grid.cells grid in
+  let fd = Field.data f and od = Field.data out in
+  let p = Modal.poly_order basis in
+  let tb = Leg.tables (max 1 (Modal.max_1d_degree basis)) in
+  let rc = Recovery.shared p in
+  let cfg = lay.Layout.cfg_to_phase in
+  let sv = sqrt 2.0 ** float_of_int lay.Layout.vdim in
+  let s0 = Flux.const_coeff ~dim:pdim and s1 = Flux.linear_coeff ~dim:pdim in
+  let alpha = Array.make np 0.0 and g = Array.make np 0.0 in
+  let maxval k =
+    Array.fold_left
+      (fun acc n -> acc *. tb.Leg.maxv.(n))
+      1.0
+      (Dg_util.Multi_index.to_array (Modal.index basis k))
+  in
+  let off fld c = Field.offset fld c in
+  for vdir = 0 to lay.Layout.vdim - 1 do
+    let dir = cdim + vdir in
+    let support = drift_support lay ~vdir in
+    let st lfactor nstencil = surface_stencil basis ~support:cfg ~dir ~lfactor ~nstencil in
+    let surf s_l s_n = surface basis ~support ~dir ~s_l ~s_n in
+    let pen s_l s_n = penalty basis ~dir ~s_l ~s_n in
+    let vol_drift = volume basis ~support ~dir in
+    let vol_diff = volume_diffusion2 basis ~support:cfg ~dir in
+    let sll = surf Hi Hi and slr = surf Hi Lo and srl = surf Lo Hi
+    and srr = surf Lo Lo in
+    let pll = pen Hi Hi and plr = pen Hi Lo and prl = pen Lo Hi
+    and prr = pen Lo Lo in
+    let rd_hi_l = st (Val Hi) rc.Recovery.rder_l
+    and rd_hi_r = st (Val Hi) rc.Recovery.rder_r
+    and rd_lo_l = st (Val Lo) rc.Recovery.rder_l
+    and rd_lo_r = st (Val Lo) rc.Recovery.rder_r
+    and rv_hi_l = st (Der Hi) rc.Recovery.rval_l
+    and rv_hi_r = st (Der Hi) rc.Recovery.rval_r
+    and rv_lo_l = st (Der Lo) rc.Recovery.rval_l
+    and rv_lo_r = st (Der Lo) rc.Recovery.rval_r
+    and tr_hi = st (Der Hi) (Array.sub tb.Leg.edge_hi 0 (p + 1))
+    and tr_lo = st (Der Lo) (Array.sub tb.Leg.edge_lo 0 (p + 1)) in
+    let d2 = 2.0 /. dx.(dir) and rdx = 1.0 /. dx.(dir) in
+    let dd = d2 *. d2 in
+    let dv = (Grid.dx vg).(vdir) in
+    let vcenter c = (Grid.lower vg).(vdir) +. ((float_of_int c.(dir) +. 0.5) *. dv) in
+    let fill c ~vc =
+      let cc = Array.sub c 0 cdim in
+      Array.fill alpha 0 np 0.0;
+      alpha.(cfg.(0)) <- -.nu *. vc *. s0;
+      alpha.(Array.get support (Array.length support - 1)) <- -.nu *. 0.5 *. dv *. s1;
+      let ub = off ps.Prim.u cc + (vdir * nc) and gb = off ps.Prim.vth2 cc in
+      Array.fill g 0 np 0.0;
+      for a = 0 to nc - 1 do
+        alpha.(cfg.(a)) <- alpha.(cfg.(a)) +. (nu *. sv *. (Field.data ps.Prim.u).(ub + a));
+        g.(cfg.(a)) <- nu *. sv *. (Field.data ps.Prim.vth2).(gb + a)
+      done
+    in
+    Grid.iter_cells grid (fun _ c ->
+        fill c ~vc:(vcenter c);
+        let fo = off f c and oo = off out c in
+        Sparse.apply_t3_off vol_drift ~scale:d2 alpha fd ~foff:fo od ~ooff:oo;
+        Sparse.apply_t3_off vol_diff ~scale:dd g fd ~foff:fo od ~ooff:oo);
+    Grid.iter_cells grid (fun _ c ->
+        if c.(dir) > 0 then begin
+          let cl = Array.copy c in
+          cl.(dir) <- c.(dir) - 1;
+          fill c ~vc:(vcenter cl);
+          let lam = ref 0.0 in
+          Array.iter (fun m -> lam := !lam +. (Float.abs alpha.(m) *. maxval m)) support;
+          let lam = !lam in
+          let fl = off f cl and fr = off f c in
+          let ol = off out cl and orr = off out c in
+          let t3 t ~scale ~foff ~ooff w = Sparse.apply_t3_off t ~scale w fd ~foff od ~ooff in
+          let t2 t ~scale ~foff ~ooff = Sparse.apply_t2_off t ~scale fd ~foff od ~ooff in
+          t3 sll ~scale:(-.rdx) ~foff:fl ~ooff:ol alpha;
+          t3 slr ~scale:(-.rdx) ~foff:fr ~ooff:ol alpha;
+          t2 plr ~scale:(lam *. rdx) ~foff:fr ~ooff:ol;
+          t2 pll ~scale:(-.lam *. rdx) ~foff:fl ~ooff:ol;
+          t3 srl ~scale:rdx ~foff:fl ~ooff:orr alpha;
+          t3 srr ~scale:rdx ~foff:fr ~ooff:orr alpha;
+          t2 prr ~scale:(-.lam *. rdx) ~foff:fr ~ooff:orr;
+          t2 prl ~scale:(lam *. rdx) ~foff:fl ~ooff:orr;
+          t3 rd_hi_l ~scale:dd ~foff:fl ~ooff:ol g;
+          t3 rd_hi_r ~scale:dd ~foff:fr ~ooff:ol g;
+          t3 rv_hi_l ~scale:(-.dd) ~foff:fl ~ooff:ol g;
+          t3 rv_hi_r ~scale:(-.dd) ~foff:fr ~ooff:ol g;
+          t3 rd_lo_l ~scale:(-.dd) ~foff:fl ~ooff:orr g;
+          t3 rd_lo_r ~scale:(-.dd) ~foff:fr ~ooff:orr g;
+          t3 rv_lo_l ~scale:dd ~foff:fl ~ooff:orr g;
+          t3 rv_lo_r ~scale:dd ~foff:fr ~ooff:orr g
+        end;
+        fill c ~vc:(vcenter c);
+        let fo = off f c and oo = off out c in
+        if c.(dir) = 0 then
+          Sparse.apply_t3_off tr_lo ~scale:dd g fd ~foff:fo od ~ooff:oo;
+        if c.(dir) = cells.(dir) - 1 then
+          Sparse.apply_t3_off tr_hi ~scale:(-.dd) g fd ~foff:fo od ~ooff:oo)
+  done
+
+(* The shared-sweep LBO against the two-pass oracle, on drifting,
+   x-dependent states (non-zero u and vth^2 in every cell). *)
+let test_lbo_vs_two_pass () =
+  List.iter
+    (fun (cdim, vdim, p, cells_c, cells_v) ->
+      let lay = make_lay ~cdim ~vdim ~p ~cells_c ~cells_v ~vmax:4.0 () in
+      let np = Layout.num_basis lay in
+      let f = phase_field lay ~ncomp:np in
+      Dg_app.Vm_app.project_phase lay
+        ~f:(fun ~pos ~vel ->
+          let s = sin (2.0 *. Float.pi *. pos.(0)) in
+          let u = Array.init vdim (fun k -> 0.4 +. (0.2 *. s) -. (0.3 *. float_of_int k)) in
+          (1.0 +. (0.3 *. s)) *. maxwellian ~n0:1.0 ~u ~vt:(1.0 +. (0.1 *. s)) vel)
+        f;
+      let nu = 0.8 in
+      let lbo = Lbo.create ~nu lay in
+      Lbo.update_prim lbo ~f;
+      let out = phase_field lay ~ncomp:np in
+      Lbo.rhs lbo ~f ~out;
+      let prim = Prim.make lay in
+      let ps = Prim.alloc_prim prim in
+      Prim.compute prim ~moments:(Moments.make lay) ~f ~prim:ps;
+      ignore
+        (Prim.floor_clamp prim ~prim:ps ~n_floor:Bgk.default_n_floor
+           ~vth2_floor:Bgk.default_vth2_floor);
+      let ref_rhs = phase_field lay ~ncomp:np in
+      two_pass_rhs lay ~nu ~ps ~f ~out:ref_rhs;
+      let tag = Printf.sprintf "%dx%dv p%d" cdim vdim p in
+      let scale = ref 0.0 in
+      Grid.iter_cells lay.Layout.grid (fun _ c ->
+          for k = 0 to np - 1 do
+            scale := Float.max !scale (Float.abs (Field.get ref_rhs c k))
+          done);
+      if !scale = 0.0 then Alcotest.failf "%s: oracle is identically zero" tag;
+      Grid.iter_cells lay.Layout.grid (fun _ c ->
+          for k = 0 to np - 1 do
+            let a = Field.get out c k and b = Field.get ref_rhs c k in
+            if Float.abs (a -. b) > 1e-12 *. !scale then
+              Alcotest.failf "%s: coeff %d: %.17g <> %.17g" tag k a b
+          done))
+    [
+      (1, 1, 1, 4, 8);
+      (1, 1, 2, 4, 8);
+      (1, 2, 2, 3, 6);
+      (2, 2, 1, 3, 5);
+      (2, 3, 1, 2, 4);
+    ]
 
 (* A Maxwellian (resolved on the grid) is near-stationary under LBO. *)
 let test_lbo_fixed_point () =
@@ -277,6 +447,8 @@ let () =
       ( "lbo",
         [
           Alcotest.test_case "density conservation" `Quick test_lbo_density_conservation;
+          Alcotest.test_case "shared sweep == two-pass operator" `Quick
+            test_lbo_vs_two_pass;
           Alcotest.test_case "maxwellian fixed point" `Quick test_lbo_fixed_point;
           Alcotest.test_case "relaxation" `Slow test_lbo_relaxation;
         ] );

@@ -268,9 +268,10 @@ let oracle_penalty mis ~dir ~s_l ~s_n =
 
 let sides = [ Tensors.Hi; Tensors.Lo ]
 
-(* Every standard configuration and direction: restrict . triple . lift
-   equals each of the four old surface tensors and lift . restrict each of
-   the four penalty tensors, coefficient for coefficient in exact
+(* Every standard configuration and direction, over the Vlasov support
+   and in velocity directions also the collisional drift support:
+   restrict . triple . lift equals each of the four old surface tensors
+   and lift . restrict each of the four penalty tensors, coefficient for coefficient in exact
    arithmetic over unnormalized Legendre polynomials.  The float tables
    the solver runs are the same entries times the normalization factors
    sqrt((2n+1)/2) of their own indices (restrict: the normal degree of
@@ -287,13 +288,7 @@ let test_face_form_exact () =
         Array.init np (fun k -> Dg_util.Multi_index.to_array (Modal.index basis k))
       in
       let nrm n = Leg.norm_factor n in
-      for dir = 0 to lay.Layout.pdim - 1 do
-        let tag =
-          Printf.sprintf "%dx%dv p%d %s dir %d" cdim vdim p
-            (Modal.family_name family) dir
-        in
-        let dk = Tensors.make_dir lay ~dir in
-        let support = dk.Tensors.support in
+      let check_form ~tag ~dir ~support (fc : Tensors.face) =
         let e = Tensors.face_entries rat_scalars basis ~support ~dir in
         List.iter
           (fun s_l ->
@@ -314,7 +309,6 @@ let test_face_form_exact () =
           sides;
         (* the float tables: the same entries in the same order, each the
            rational value times its normalization *)
-        let fc = dk.Tensors.face in
         let fmis = Array.make e.Tensors.n_face [||] in
         Array.iteri (fun l j -> fmis.(j) <- mis.(l)) e.Tensors.face_of;
         let tangential a = Array.fold_left ( *. ) 1.0 (Array.mapi (fun i d -> if i = dir then 1.0 else nrm d) a) in
@@ -351,6 +345,21 @@ let test_face_form_exact () =
             check_close ~tol:1e-14 (tag ^ " triple") (Rat.to_float v *. norm)
               t.Sparse.cv.(i))
           e.Tensors.tri
+      in
+      for dir = 0 to lay.Layout.pdim - 1 do
+        let tag =
+          Printf.sprintf "%dx%dv p%d %s dir %d" cdim vdim p
+            (Modal.family_name family) dir
+        in
+        let dk = Tensors.make_dir lay ~dir in
+        check_form ~tag ~dir ~support:dk.Tensors.support dk.Tensors.face;
+        (* the collisional drift support holds the linear-in-v_dir mode, so
+           its triple carries the edge(m_dir, +1) fold with m_dir = 1 *)
+        if dir >= cdim then begin
+          let support = Tensors.drift_support lay ~vdir:(dir - cdim) in
+          check_form ~tag:(tag ^ " drift") ~dir ~support
+            (Tensors.face basis ~support ~dir)
+        end
       done)
     Codegen.standard_configs
 

@@ -13,6 +13,7 @@ module Tensors = Dg_kernels.Tensors
 module Recovery = Dg_kernels.Recovery
 module Limiter = Dg_limiter.Limiter
 module Checkpoint = Dg_resilience.Checkpoint
+module Lbo = Dg_collisions.Lbo
 
 let layout_gen =
   QCheck.Gen.(
@@ -263,7 +264,8 @@ let prop_weak_mul =
    with the DOF count, and at p >= 2 its kinetic-energy rate equals the
    field work int J.E (paper Eq. 9; both fluxes: the test function |v|^2
    is continuous across every face, and velocity-domain faces carry no
-   flux). *)
+   flux).  With the Dougherty operator added to the same RHS, particle
+   number is still conserved to that bound. *)
 let referee_state ~family ~p ~cdim ~vdim ~seed =
   let pdim = cdim + vdim in
   let cells = Array.init pdim (fun d -> if d < cdim then 2 else 3) in
@@ -331,6 +333,17 @@ let prop_referee =
           let ndof = float_of_int (np * Grid.num_cells lay.Layout.grid) in
           let mom = Moments.make lay in
           let mass = 1.7 and charge = -0.8 in
+          let lbo = Lbo.create ~nu:0.9 lay in
+          Lbo.update_prim lbo ~f;
+          let check_mass tag out =
+            let dm = Moments.total_mass mom ~f:out in
+            let bound_m =
+              eps *. ndof *. Moments.total_mass mom ~f:(abs_field out)
+            in
+            if not (Float.abs dm <= bound_m) then
+              QCheck.Test.fail_reportf "%s: dN/dt = %.3e over bound %.3e" tag
+                dm bound_m
+          in
           List.iter
             (fun (flux, fname) ->
               List.iter
@@ -346,13 +359,7 @@ let prop_referee =
                   in
                   let out = Field.create lay.Layout.grid ~ncomp:np in
                   Solver.rhs s ~f ~em:(Some em) ~out;
-                  let dm = Moments.total_mass mom ~f:out in
-                  let bound_m =
-                    eps *. ndof *. Moments.total_mass mom ~f:(abs_field out)
-                  in
-                  if not (Float.abs dm <= bound_m) then
-                    QCheck.Test.fail_reportf "%s: dN/dt = %.3e over bound %.3e"
-                      tag dm bound_m;
+                  check_mass tag out;
                   if p >= 2 then begin
                     let ke_dot = Moments.total_kinetic_energy mom ~mass ~f:out in
                     let je, je_abs = field_work lay mom ~charge ~f ~em in
@@ -367,7 +374,9 @@ let prop_referee =
                       QCheck.Test.fail_reportf
                         "%s: dKE/dt = %.17g, int J.E = %.17g (bound %.3e)" tag
                         ke_dot je bound_e
-                  end)
+                  end;
+                  Lbo.rhs lbo ~f ~out;
+                  check_mass (tag ^ " + LBO") out)
                 [ true; false ])
             [ (Solver.Central, "central"); (Solver.Upwind, "upwind") ])
         Dg_codegen.Codegen.standard_configs;

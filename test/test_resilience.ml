@@ -545,6 +545,53 @@ let test_resilient_checkpoints () =
   | Some _ -> ()
   | None -> Alcotest.fail "no checkpoint on disk"
 
+(* A periodic checkpoint is a state that passed a health check: with
+   cadence K it is written at the first healthy window check at least K
+   steps after the previous one (the first one K steps in), never between
+   checks.  Windows close every [check_every] steps and at the last step;
+   on this clean run every window is healthy. *)
+let test_checkpoint_cadence () =
+  let k = 3 in
+  List.iter
+    (fun check_every ->
+      let dir = tmpdir (Printf.sprintf "cadence_%d" check_every) in
+      let app = App.create (small_spec ()) in
+      let policy = { Retry.default with Retry.check_every } in
+      let stats =
+        App.run_resilient ~policy app ~tend:2.0 ~checkpoint_every:k
+          ~checkpoint_dir:dir
+      in
+      let n = App.nsteps app in
+      let tag = Printf.sprintf "K=%d check_every=%d, %d steps" k check_every n in
+      Alcotest.(check int) (tag ^ ": no retries") 0 stats.Retry.retries;
+      if n < (2 * check_every) + k then
+        Alcotest.failf "%s: too few steps to see the cadence" tag;
+      let checks =
+        List.sort_uniq compare
+          (n :: List.init (n / check_every) (fun i -> (i + 1) * check_every))
+      in
+      let expected, _ =
+        List.fold_left
+          (fun (acc, next) s -> if s >= next then (s :: acc, s + k) else (acc, next))
+          ([], k) checks
+      in
+      let written =
+        List.filter
+          (fun s -> Sys.file_exists (Filename.concat dir (Checkpoint.filename ~step:s)))
+          (List.init (n + 1) Fun.id)
+      in
+      Alcotest.(check (list int)) (tag ^ ": checkpoint steps") (List.rev expected)
+        written;
+      Alcotest.(check int) (tag ^ ": writes counted") (List.length written)
+        stats.Retry.checkpoints;
+      (* the cadence never forces a write between window checks *)
+      List.iter
+        (fun s ->
+          if s mod check_every <> 0 && s <> n then
+            Alcotest.failf "%s: checkpoint at step %d, between checks" tag s)
+        written)
+    [ 10; 3 ]
+
 let test_initial_nan_rejected () =
   let app = App.create (small_spec ()) in
   (Field.data (App.distribution app 0)).(0) <- Float.nan;
@@ -785,6 +832,8 @@ let () =
           Alcotest.test_case "clean run: no retries" `Quick
             test_resilient_clean_run_no_retries;
           Alcotest.test_case "periodic checkpoints" `Quick test_resilient_checkpoints;
+          Alcotest.test_case "checkpoint cadence follows healthy windows" `Quick
+            test_checkpoint_cadence;
           Alcotest.test_case "poisoned initial state rejected" `Quick
             test_initial_nan_rejected;
         ] );
