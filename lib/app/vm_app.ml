@@ -731,8 +731,66 @@ let create_resumable spec ~checkpoint_dir =
 
 (* --- health-checked stepping: the graceful-degradation ladder ------------- *)
 
-(* Like [run], but each accepted step climbs a ladder of increasingly
-   expensive recoveries only as far as it must:
+(* The last-known-good window: a copy of the state and where it stood. *)
+type last_good = {
+  good_state : Field.t list;
+  good_time : float;
+  good_step : int;
+  good_energy : float;
+}
+
+let first_good t =
+  {
+    good_state = List.map Field.clone t.state;
+    good_time = t.time;
+    good_step = t.nsteps;
+    good_energy = total_energy t;
+  }
+
+let save_good t g ~energy =
+  List.iter2 (fun src dst -> Field.copy_into ~src ~dst) t.state g.good_state;
+  { g with good_time = t.time; good_step = t.nsteps; good_energy = energy }
+
+let restore_good t g =
+  List.iter2 (fun src dst -> Field.copy_into ~src ~dst) g.good_state t.state;
+  t.time <- g.good_time;
+  t.nsteps <- g.good_step
+
+(* One limiter pass ([Limiter.apply] or [Limiter.scan]) over every
+   species' distribution. *)
+let limit_species t pass =
+  Array.fold_left
+    (fun acc f -> Limiter.merge acc (pass f))
+    Limiter.clean
+    (fst (split_state t t.state))
+
+(* Tier 0: rescale every cell the limiter can repair; returns the number
+   of cells it could not. *)
+let repair_positivity stats t lim =
+  let rep = limit_species t (Limiter.apply lim) in
+  if rep.Limiter.cells_clamped > 0 then begin
+    stats.Retry.tier0_repairs <- stats.Retry.tier0_repairs + 1;
+    stats.Retry.cells_clamped <-
+      stats.Retry.cells_clamped + rep.Limiter.cells_clamped;
+    Obs.count "resilience.tier0_repairs" 1
+  end;
+  rep.Limiter.unrepairable
+
+(* Checkpoint the current state into [dir], if there is one. *)
+let write_checkpoint stats ~faults ?keep_last t dir =
+  Option.iter
+    (fun dir ->
+      let t0 = Obs.now () in
+      ignore
+        (Checkpoint.write ~faults ?keep_last ~dir ~step:t.nsteps ~time:t.time
+           t.state);
+      stats.Retry.checkpoints <- stats.Retry.checkpoints + 1;
+      stats.Retry.checkpoint_s <-
+        stats.Retry.checkpoint_s +. (Obs.now () -. t0))
+    dir
+
+(* Like [run], but each step climbs a ladder of increasingly expensive
+   recoveries only as far as it must:
 
      tier 0  positivity-limiter repair: mean-preserving rescale of cells
              whose expansion dips below zero at the control nodes — no
@@ -745,10 +803,13 @@ let create_resumable spec ~checkpoint_dir =
      tier 3  clean abort: restore last-good, write a final checkpoint so
              nothing is lost, raise
 
-   A [supervisor] is polled between steps: a stop request (SIGTERM/SIGINT,
-   or its --max-wall budget) checkpoints the last completed step and
-   returns with [stats.stopped] set — restarting from that checkpoint is
-   bit-exact, as if the run had been configured to end there. *)
+   Tier 0 and the health scan run here; every tier-1..3 decision, the dt
+   ceiling and the periodic-checkpoint cadence come from the pure
+   [Retry.decide], and this loop only performs them.  A [supervisor] is
+   polled between steps: a stop request (SIGTERM/SIGINT, or its --max-wall
+   budget) checkpoints the last completed step and returns with
+   [stats.stopped] set — restarting from that checkpoint is bit-exact, as
+   if the run had been configured to end there. *)
 let run_resilient ?(policy = Retry.default) ?(faults = Faults.none ())
     ?(positivity = `Off) ?supervisor ?(checkpoint_every = 0) ?checkpoint_dir
     ?keep_last ?(max_steps = max_int) ?(on_step = fun (_ : t) -> ()) t ~tend =
@@ -772,188 +833,114 @@ let run_resilient ?(policy = Retry.default) ?(faults = Faults.none ())
       (Printf.sprintf
          "Vm_app.run_resilient: initial state is unhealthy (%d NaN, %d Inf)"
          r0.Health.nan r0.Health.inf);
-  let good = List.map Field.clone t.state in
-  let good_time = ref t.time and good_step = ref t.nsteps in
-  let good_energy = ref (total_energy t) in
-  let save_good () =
-    List.iter2 (fun src dst -> Field.copy_into ~src ~dst) t.state good;
-    good_time := t.time;
-    good_step := t.nsteps;
-    good_energy := total_energy t
-  in
-  let restore_good () =
-    List.iter2 (fun src dst -> Field.copy_into ~src ~dst) good t.state;
-    t.time <- !good_time;
-    t.nsteps <- !good_step
-  in
-  let write_ckpt dir =
-    let t0 = Obs.now () in
-    let info =
-      Checkpoint.write ~faults ?keep_last ~dir ~step:t.nsteps ~time:t.time
-        t.state
-    in
-    stats.Retry.checkpoints <- stats.Retry.checkpoints + 1;
-    stats.Retry.checkpoint_s <- stats.Retry.checkpoint_s +. (Obs.now () -. t0);
-    info
-  in
-  let dt_limit = ref infinity in
-  let consecutive = ref 0 in
-  let since_check = ref 0 in
-  let restores_done = ref 0 in
-  (* unrepairable cells seen by tier-0 repairs since the last window check *)
-  let window_unrepairable = ref 0 in
-  let next_ckpt =
-    ref (if checkpoint_every > 0 then t.nsteps + checkpoint_every else max_int)
-  in
-  while t.time < tend -. 1e-12 && stats.Retry.stopped = None do
-    (* supervision: stop requests land on step boundaries only *)
-    (match supervisor with
-    | Some sup -> (
-        match Supervisor.should_stop sup with
-        | Some reason ->
-            let why = Supervisor.reason_to_string reason in
-            stats.Retry.stopped <- Some why;
-            Obs.count "resilience.supervised_stops" 1;
-            (* the final checkpoint must be a state a resumed run would
-               accept: a stop can land mid-window, after corruption has
-               struck but before the health check that would roll it
-               back, and persisting that poison would wedge every resume
-               at the initial health gate.  Fall back to last-known-good
-               instead of checkpointing blind. *)
-            if not (Health.is_clean (Health.check t.state)) then begin
-              Obs.count "resilience.poisoned_stop_rollbacks" 1;
-              restore_good ()
-            end;
-            Option.iter (fun dir -> ignore (write_ckpt dir)) checkpoint_dir
-        | None -> ())
-    | None -> ());
-    if stats.Retry.stopped = None then begin
-      let dt_cfl, dt =
-        next_dt ~who:"Vm_app.run_resilient" ~max_steps ~limit:!dt_limit t
-          ~tend
-      in
-      ignore (step ~dt t);
-      stats.Retry.steps <- stats.Retry.steps + 1;
-      if Faults.maybe_inject_nan faults ~step:t.nsteps t.state then
-        Obs.count "resilience.faults_injected" 1;
-      if Faults.maybe_inject_negative faults ~step:t.nsteps t.state then
-        Obs.count "resilience.faults_injected" 1;
-      (* process-level bombs: a crash raises out of the slice (the state and
-         checkpoints on disk are exactly what a SIGKILL would leave); a hang
-         stalls here with the heartbeat frozen, which is the watchdog's cue *)
-      Faults.maybe_crash faults ~step:t.nsteps;
-      if Faults.maybe_hang faults ~step:t.nsteps then
-        Obs.count "resilience.faults_injected" 1;
-      (* tier 0: repair pointwise negativity right where it appears *)
-      (match (limiter, positivity) with
-      | Some lim, `Repair ->
-          let fs, _ = split_state t t.state in
-          let rep =
-            Array.fold_left
-              (fun acc f -> Limiter.merge acc (Limiter.apply lim f))
-              Limiter.clean fs
+  (* [unrepairable]: cells tier-0 repairs could not fix since the last
+     window closed *)
+  let rec loop ladder good ~unrepairable =
+    if t.time < tend -. 1e-12 then
+      (* supervision: stop requests land on step boundaries only *)
+      match Option.bind supervisor Supervisor.should_stop with
+      | Some reason ->
+          stats.Retry.stopped <- Some (Supervisor.reason_to_string reason);
+          Obs.count "resilience.supervised_stops" 1;
+          (* a stop can land mid-window, after corruption struck but
+             before the check that would roll it back: checkpoint
+             last-known-good then, or every resume fails the initial
+             health gate *)
+          if not (Health.is_clean (Health.check t.state)) then begin
+            Obs.count "resilience.poisoned_stop_rollbacks" 1;
+            restore_good t good
+          end;
+          write_checkpoint stats ~faults ?keep_last t checkpoint_dir
+      | None -> (
+          let dt_cfl, dt =
+            next_dt ~who:"Vm_app.run_resilient" ~max_steps
+              ~limit:ladder.Retry.dt_ceiling t ~tend
           in
-          if rep.Limiter.cells_clamped > 0 then begin
-            stats.Retry.tier0_repairs <- stats.Retry.tier0_repairs + 1;
-            stats.Retry.cells_clamped <-
-              stats.Retry.cells_clamped + rep.Limiter.cells_clamped;
-            Obs.count "resilience.tier0_repairs" 1
-          end;
-          window_unrepairable := !window_unrepairable + rep.Limiter.unrepairable
-      | _ -> ());
-      incr since_check;
-      let at_end = t.time >= tend -. 1e-12 in
-      if !since_check >= policy.Retry.check_every || at_end then begin
-        since_check := 0;
-        stats.Retry.health_checks <- stats.Retry.health_checks + 1;
-        Obs.count "resilience.health_checks" 1;
-        let report =
-          Obs.span "health_check" (fun () -> Health.check t.state)
-        in
-        (* `Detect mode scans (without repairing) at window checks, so a
-           run with the limiter disabled still notices lost positivity and
-           escalates to tier 1; `Repair mode already fixed what it could
-           and only its unrepairable remainder counts against the window *)
-        let nonrealizable =
-          match (limiter, positivity) with
-          | Some lim, `Detect ->
-              let fs, _ = split_state t t.state in
-              let rep =
-                Array.fold_left
-                  (fun acc f -> Limiter.merge acc (Limiter.scan lim f))
-                  Limiter.clean fs
-              in
-              rep.Limiter.cells_clamped + rep.Limiter.unrepairable
-          | _ -> !window_unrepairable
-        in
-        window_unrepairable := 0;
-        let verdict = Health.verdict report ~nonrealizable in
-        let healthy =
-          Health.is_healthy verdict
-          && Health.energy_jump ~prev:!good_energy ~cur:(total_energy t)
-             <= policy.Retry.energy_jump_tol
-        in
-        if healthy then begin
-          if !consecutive > 0 then Obs.count "resilience.deescalations" 1;
-          consecutive := 0;
-          (* regrow the dt ceiling toward the CFL limit *)
-          if !dt_limit < infinity then begin
-            dt_limit := !dt_limit *. policy.Retry.dt_grow;
-            if !dt_limit >= dt_cfl then dt_limit := infinity
-          end;
-          save_good ();
-          if t.nsteps >= !next_ckpt then begin
-            ignore (write_ckpt (Option.get checkpoint_dir));
-            next_ckpt := t.nsteps + checkpoint_every
-          end;
-          on_step t
-        end
-        else begin
-          (* tier 1: roll back the window and retry with a shrunk dt *)
-          stats.Retry.retries <- stats.Retry.retries + 1;
-          Obs.count "resilience.retries" 1;
-          Obs.count "resilience.tier1_rollbacks" 1;
-          incr consecutive;
-          if !consecutive > policy.Retry.max_retries then begin
-            (* tier 1 exhausted: tier 2 (on-disk restore) if budget and a
-               valid checkpoint remain, else tier 3 (clean abort) *)
-            let restored =
-              if !restores_done >= policy.Retry.max_restores then None
-              else
-                Option.bind checkpoint_dir (fun dir -> restore_latest t ~dir)
+          ignore (step ~dt t);
+          stats.Retry.steps <- stats.Retry.steps + 1;
+          Faults.maybe_inject_nan faults ~step:t.nsteps t.state;
+          Faults.maybe_inject_negative faults ~step:t.nsteps t.state;
+          (* process-level bombs: a crash raises out of the slice (the
+             state and checkpoints on disk are exactly what a SIGKILL would
+             leave); a hang stalls here with the heartbeat frozen, which is
+             the watchdog's cue *)
+          Faults.maybe_crash faults ~step:t.nsteps;
+          Faults.maybe_hang faults ~step:t.nsteps;
+          (* tier 0: repair pointwise negativity right where it appears *)
+          let unrepairable =
+            match (limiter, positivity) with
+            | Some lim, `Repair -> unrepairable + repair_positivity stats t lim
+            | _ -> unrepairable
+          in
+          let ladder, due =
+            Retry.tick policy ladder ~at_end:(t.time >= tend -. 1e-12)
+          in
+          if not due then begin
+            on_step t;
+            loop ladder good ~unrepairable
+          end
+          else
+            let report =
+              Obs.span "health_check" (fun () -> Health.check t.state)
             in
-            match restored with
-            | Some _ ->
-                incr restores_done;
-                stats.Retry.tier2_restores <- stats.Retry.tier2_restores + 1;
-                Obs.count "resilience.tier2_restores" 1;
-                consecutive := 0;
-                dt_limit := Float.min !dt_limit dt *. policy.Retry.dt_shrink;
-                save_good ()
-            | None ->
-                stats.Retry.tier3_aborts <- stats.Retry.tier3_aborts + 1;
-                Obs.count "resilience.tier3_aborts" 1;
-                restore_good ();
+            (* `Detect mode scans (without repairing) at window checks, so
+               a run with the limiter disabled still notices lost
+               positivity and escalates; `Repair mode already fixed what it
+               could and only its unrepairable remainder counts *)
+            let nonrealizable =
+              match (limiter, positivity) with
+              | Some lim, `Detect ->
+                  let rep = limit_species t (Limiter.scan lim) in
+                  rep.Limiter.cells_clamped + rep.Limiter.unrepairable
+              | _ -> unrepairable
+            in
+            let verdict = Health.verdict report ~nonrealizable in
+            let energy = total_energy t in
+            let healthy =
+              Health.is_healthy verdict
+              && Health.energy_jump ~prev:good.good_energy ~cur:energy
+                 <= policy.Retry.energy_jump_tol
+            in
+            let next, decision =
+              Retry.decide policy ladder
+                ~can_restore:(checkpoint_dir <> None)
+                { Retry.healthy; step = t.nsteps; dt; dt_cfl }
+            in
+            (* a restore that finds no valid checkpoint is a tier-3 abort *)
+            let decision =
+              if decision <> Retry.Restore then decision
+              else
+                match
+                  Option.bind checkpoint_dir (fun dir -> restore_latest t ~dir)
+                with
+                | Some _ -> decision
+                | None -> Retry.Abort
+            in
+            Retry.tally stats ladder decision;
+            match decision with
+            | Retry.Accept { checkpoint } ->
+                let good = save_good t good ~energy in
+                if checkpoint then
+                  write_checkpoint stats ~faults ?keep_last t checkpoint_dir;
+                on_step t;
+                loop next good ~unrepairable:0
+            | Retry.Rollback ->
+                restore_good t good;
+                loop next good ~unrepairable:0
+            | Retry.Restore ->
+                loop next (save_good t good ~energy:(total_energy t))
+                  ~unrepairable:0
+            | Retry.Abort ->
+                restore_good t good;
                 (* leave the best state we have on disk before dying *)
-                Option.iter
-                  (fun dir -> ignore (write_ckpt dir))
-                  checkpoint_dir;
+                write_checkpoint stats ~faults ?keep_last t checkpoint_dir;
                 failwith
                   (Format.asprintf
                      "Vm_app.run_resilient: aborting at t=%g after %d \
                       retries: %a"
-                     !good_time policy.Retry.max_retries Health.pp_verdict
-                     verdict)
-          end
-          else begin
-            restore_good ();
-            dt_limit := Float.min !dt_limit dt *. policy.Retry.dt_shrink
-            (* consecutive failures compound the shrink: exponential backoff *)
-          end
-        end
-      end
-      else on_step t
-    end
-  done;
+                     good.good_time policy.Retry.max_retries Health.pp_verdict
+                     verdict))
+  in
+  loop (Retry.start ~checkpoint_every ~step:t.nsteps) (first_good t)
+    ~unrepairable:0;
   stats
-

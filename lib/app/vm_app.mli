@@ -175,15 +175,18 @@ val run_resilient :
   t ->
   tend:float ->
   Dg_resilience.Retry.stats
-(** Health-checked {!run} wrapped in the graceful-degradation ladder:
+(** Health-checked {!run} wrapped in the graceful-degradation ladder.
+    This is the ladder's IO shell: it steps, fires [faults], runs tier 0
+    and the health scan, and performs what the pure
+    {!Dg_resilience.Retry.decide} decides for each closed window.
 
-    - {b tier 0} ([positivity = `Repair]): after every accepted step a
+    - {b tier 0} ([positivity = `Repair]): after every step a
       mean-preserving linear-scaling limiter ({!Dg_limiter.Limiter})
       rescales cells whose expansion dips below zero at the control nodes
       — no rollback, no dt penalty.  [`Detect] only scans at window checks
       (negative cells then fail the window); [`Off] (default) ignores
       positivity entirely.
-    - {b tier 1}: every [policy.check_every] accepted steps the state is
+    - {b tier 1}: every [policy.check_every] steps the state is
       scanned for NaN/Inf, non-realizability, and energy jumps; an
       unhealthy window rolls back to the last-known-good copy and retries
       with a shrunk dt ceiling (consecutive failures compound —

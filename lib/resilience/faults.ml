@@ -54,20 +54,23 @@ let armed t =
   (t.nan_step <> None && not t.nan_fired)
   || (t.neg_step <> None && not t.neg_fired)
 
+(* Every [maybe_*] below that fires disarms itself and counts itself. *)
+let injected () = Dg_obs.Obs.count "resilience.faults_injected" 1
+
 (* Poison one coefficient of the first state field.  The target is the
    first coefficient of a mid-domain INTERIOR cell: a ghost-layer NaN would
    be silently healed by the next ghost synchronization and the fault would
-   test nothing.  Returns true when the fault fired (then disarms itself). *)
+   test nothing. *)
 let maybe_inject_nan t ~step fields =
   match t.nan_step with
   | Some k when (not t.nan_fired) && step >= k ->
       t.nan_fired <- true;
+      injected ();
       let fld = List.hd fields in
       let grid = Field.grid fld in
       let mid = Array.map (fun n -> n / 2) (Dg_grid.Grid.cells grid) in
-      (Field.data fld).(Field.offset fld mid) <- Float.nan;
-      true
-  | _ -> false
+      (Field.data fld).(Field.offset fld mid) <- Float.nan
+  | _ -> ()
 
 (* Drive one cell's expansion strongly negative at its control nodes while
    leaving the cell AVERAGE untouched: mode 0 (the mean) is kept and mode 1
@@ -79,6 +82,7 @@ let maybe_inject_negative t ~step fields =
   match t.neg_step with
   | Some k when (not t.neg_fired) && step >= k ->
       t.neg_fired <- true;
+      injected ();
       let fld = List.hd fields in
       let grid = Field.grid fld in
       let mid = Array.map (fun n -> n / 2) (Dg_grid.Grid.cells grid) in
@@ -86,9 +90,8 @@ let maybe_inject_negative t ~step fields =
       let off = Field.offset fld mid in
       if Field.ncomp fld > 1 then
         d.(off + 1) <- -.((Float.abs d.(off) *. 50.0) +. 1.0)
-      else d.(off) <- -.Float.abs d.(off);
-      true
-  | _ -> false
+      else d.(off) <- -.Float.abs d.(off)
+  | _ -> ()
 
 (* Simulated process death: raise out of the step loop so the slice dies
    with an uncaught-looking exception while the state and checkpoints on
@@ -97,21 +100,21 @@ let maybe_crash t ~step =
   match t.crash_step with
   | Some k when (not t.crash_fired) && step >= k ->
       t.crash_fired <- true;
-      Dg_obs.Obs.count "resilience.faults_injected" 1;
+      injected ();
       raise (Injected (Printf.sprintf "crash bomb at step %d" step))
   | _ -> ()
 
 (* Simulated hang: stall the caller for [hang_s] seconds without touching
    the state.  From the watchdog's point of view this is indistinguishable
    from a livelocked or page-thrashing slice — the heartbeat simply stops
-   advancing.  Returns true when the stall happened. *)
+   advancing. *)
 let maybe_hang t ~step =
   match t.hang_step with
   | Some k when (not t.hang_fired) && step >= k ->
       t.hang_fired <- true;
-      Unix.sleepf (Float.max 0.0 t.hang_s);
-      true
-  | _ -> false
+      injected ();
+      Unix.sleepf (Float.max 0.0 t.hang_s)
+  | _ -> ()
 
 (* On-disk corruption primitives (simulate torn writes and bit rot on files
    that were already renamed into place). *)

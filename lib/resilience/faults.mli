@@ -1,7 +1,8 @@
 (** Deterministic fault injection for the resilience test harness: poison a
     state field at step k, crash a checkpoint mid-write, kill or stall a
     slice, corrupt files on disk.  Every fault is one-shot, so a
-    rollback/retry replay does not re-trigger it. *)
+    rollback/retry replay does not re-trigger it, and each [maybe_*] that
+    fires counts itself once in the [resilience.faults_injected] counter. *)
 
 exception Injected of string
 (** Raised by injected faults (simulated slice deaths, checkpoint crashes). *)
@@ -38,26 +39,25 @@ val none : unit -> t
 val armed : t -> bool
 (** Is a state-poisoning injection (NaN or negative) still pending? *)
 
-val maybe_inject_nan : t -> step:int -> Dg_grid.Field.t list -> bool
+val maybe_inject_nan : t -> step:int -> Dg_grid.Field.t list -> unit
 (** Fire the NaN fault if [step >= nan_step] and it has not fired yet:
-    sets one mid-domain interior coefficient of the first field to NaN.
-    Returns whether it fired. *)
+    sets one mid-domain interior coefficient of the first field to NaN. *)
 
-val maybe_inject_negative : t -> step:int -> Dg_grid.Field.t list -> bool
+val maybe_inject_negative : t -> step:int -> Dg_grid.Field.t list -> unit
 (** Fire the negative-overshoot fault: drives a mid-domain interior cell
     pointwise negative (large negative mode-1 slope) while preserving its
     cell average — finite, positive-mean, and repairable by the positivity
-    limiter.  Returns whether it fired. *)
+    limiter. *)
 
 val maybe_crash : t -> step:int -> unit
 (** Simulated process death: raise {!Injected} once when [step >=
     crash_step].  The state and on-disk checkpoints are left exactly as a
     SIGKILL at a step boundary would leave them. *)
 
-val maybe_hang : t -> step:int -> bool
+val maybe_hang : t -> step:int -> unit
 (** Simulated hang: sleep [hang_s] seconds once when [step >= hang_step],
     without touching the state — to a heartbeat watchdog this looks like a
-    livelocked slice.  Returns whether the stall happened. *)
+    livelocked slice. *)
 
 val truncate_file : string -> keep:int -> unit
 (** Cut a file to its first [keep] bytes (simulated torn write). *)

@@ -14,6 +14,8 @@ module Recovery = Dg_kernels.Recovery
 module Limiter = Dg_limiter.Limiter
 module Checkpoint = Dg_resilience.Checkpoint
 module Lbo = Dg_collisions.Lbo
+module Maxwell = Dg_maxwell.Maxwell
+module Lindg = Dg_lindg.Lindg
 
 let layout_gen =
   QCheck.Gen.(
@@ -382,6 +384,81 @@ let prop_referee =
         Dg_codegen.Codegen.standard_configs;
       true)
 
+(* Beside the referee: total energy with a central Maxwell flux (paper
+   Sec. II; Juno et al., arXiv:1705.05407).  On random small states of
+   every standard configuration at p >= 2, the Vlasov RHS (either flux,
+   generated or interpreted kernels),
+   the homogeneous Maxwell RHS with central fluxes and no divergence
+   cleaning, and the current source -J together conserve
+   KE + (1/2) int |E|^2 + |B|^2: dKE/dt + <E, dE/dt> + <B, dB/dt> = 0 to
+   the referee's eps * N_dof-scaled bound. *)
+let prop_energy_central_maxwell =
+  QCheck.Test.make
+    ~name:"referee: central Maxwell flux conserves total energy (p >= 2)"
+    ~count:2
+    (QCheck.make QCheck.Gen.(int_range 0 100000) ~print:string_of_int)
+    (fun seed ->
+      List.iter
+        (fun (family, p, cdim, vdim) ->
+          if p >= 2 then begin
+            let lay, f, em = referee_state ~family ~p ~cdim ~vdim ~seed in
+            let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
+            let cgrid = lay.Layout.cgrid in
+            let ndof =
+              float_of_int
+                ((np * Grid.num_cells lay.Layout.grid)
+                + (6 * nc * Grid.num_cells cgrid))
+            in
+            let mom = Moments.make lay in
+            let mass = 1.7 and charge = -0.8 in
+            let mx =
+              Maxwell.create ~flux:Lindg.Central ~chi:0.0 ~gamma:0.0
+                ~basis:lay.Layout.cbasis ~grid:cgrid ()
+            in
+            let current = Field.create cgrid ~ncomp:(3 * nc) in
+            Moments.accumulate_current mom ~charge ~f ~out:current;
+            let em_out = Field.create cgrid ~ncomp:(8 * nc) in
+            Maxwell.rhs mx ~em ~out:em_out;
+            Maxwell.add_current_source mx ~current ~out:em_out;
+            (* <E, dE/dt> + <B, dB/dt>, and the sum of its terms' sizes *)
+            let jac = Grid.cell_volume cgrid /. (2.0 ** float_of_int cdim) in
+            let em_dot = ref 0.0 and em_abs = ref 0.0 in
+            Grid.iter_cells cgrid (fun _ c ->
+                for k = 0 to (6 * nc) - 1 do
+                  let x = Field.get em c k *. Field.get em_out c k in
+                  em_dot := !em_dot +. x;
+                  em_abs := !em_abs +. Float.abs x
+                done);
+            List.iter
+              (fun ((flux, fname), use_kernels) ->
+                let s =
+                  Solver.create ~flux ~use_kernels ~qm:(charge /. mass) lay
+                in
+                let out = Field.create lay.Layout.grid ~ncomp:np in
+                Solver.rhs s ~f ~em:(Some em) ~out;
+                let ke_dot = Moments.total_kinetic_energy mom ~mass ~f:out in
+                let rate = ke_dot +. (!em_dot *. jac) in
+                let bound =
+                  epsilon_float *. ndof
+                  *. (Float.abs
+                        (Moments.total_kinetic_energy mom ~mass
+                           ~f:(abs_field out))
+                     +. (!em_abs *. jac))
+                in
+                if not (Float.abs rate <= bound) then
+                  QCheck.Test.fail_reportf
+                    "%dx%dv p%d %s %s %s seed %d: dW/dt = %.3e over bound \
+                     %.3e"
+                    cdim vdim p (Modal.family_name family) fname
+                    (if use_kernels then "generated" else "interpreted")
+                    seed rate bound)
+              (List.concat_map
+                 (fun fl -> [ (fl, true); (fl, false) ])
+                 [ (Solver.Central, "central"); (Solver.Upwind, "upwind") ])
+          end)
+        Dg_codegen.Codegen.standard_configs;
+      true)
+
 let () =
   Alcotest.run "dg_properties"
     [
@@ -390,6 +467,7 @@ let () =
           [
             prop_mass_conservation;
             prop_referee;
+            prop_energy_central_maxwell;
             prop_accel_bound;
             prop_recovery_exact;
             prop_snapshot_roundtrip;

@@ -518,10 +518,14 @@ let test_rollback_retry_reaches_tend () =
     App.run_resilient ~policy ~faults ~on_step:(fun _ -> incr fired) app ~tend
   in
   Alcotest.(check bool) "reached tend" true (App.time app >= tend -. 1e-9);
-  Alcotest.(check bool) "retried at least once" true (stats.Retry.retries >= 1);
+  Alcotest.(check bool)
+    "retried at least once" true
+    (stats.Retry.tier1_rollbacks >= 1);
   (* on_step fires after every step but the check step of a failed window,
      so the rolled-back steps before it have fired too *)
-  Alcotest.(check int) "on_step count" (stats.Retry.steps - stats.Retry.retries)
+  Alcotest.(check int)
+    "on_step count"
+    (stats.Retry.steps - stats.Retry.tier1_rollbacks)
     !fired;
   Alcotest.(check bool) "rolled-back steps fired" true (!fired > App.nsteps app);
   Alcotest.(check bool) "fault fired" true faults.Faults.nan_fired;
@@ -531,7 +535,7 @@ let test_rollback_retry_reaches_tend () =
 let test_resilient_clean_run_no_retries () =
   let app = App.create (small_spec ()) in
   let stats = App.run_resilient app ~tend:0.3 in
-  Alcotest.(check int) "no retries" 0 stats.Retry.retries;
+  Alcotest.(check int) "no retries" 0 stats.Retry.tier1_rollbacks;
   Alcotest.(check bool) "checked health" true (stats.Retry.health_checks >= 1)
 
 let test_resilient_checkpoints () =
@@ -563,7 +567,8 @@ let test_checkpoint_cadence () =
       in
       let n = App.nsteps app in
       let tag = Printf.sprintf "K=%d check_every=%d, %d steps" k check_every n in
-      Alcotest.(check int) (tag ^ ": no retries") 0 stats.Retry.retries;
+      Alcotest.(check int)
+        (tag ^ ": no retries") 0 stats.Retry.tier1_rollbacks;
       if n < (2 * check_every) + k then
         Alcotest.failf "%s: too few steps to see the cadence" tag;
       let checks =
@@ -622,7 +627,7 @@ let test_tier0_absorbs_negativity () =
   Alcotest.(check bool) "reached tend" true (App.time app >= 0.5 -. 1e-9);
   Alcotest.(check bool) "limiter repaired" true (stats.Retry.tier0_repairs >= 1);
   Alcotest.(check bool) "cells clamped" true (stats.Retry.cells_clamped >= 1);
-  Alcotest.(check int) "zero rollbacks" 0 stats.Retry.retries;
+  Alcotest.(check int) "zero rollbacks" 0 stats.Retry.tier1_rollbacks;
   Alcotest.(check int) "no restores" 0 stats.Retry.tier2_restores;
   Alcotest.(check int) "no aborts" 0 stats.Retry.tier3_aborts
 
@@ -641,7 +646,332 @@ let test_detect_escalates_to_tier1 () =
   Alcotest.(check bool) "fault fired" true faults.Faults.neg_fired;
   Alcotest.(check bool) "reached tend" true (App.time app >= tend -. 1e-9);
   Alcotest.(check int) "detect mode never repairs" 0 stats.Retry.tier0_repairs;
-  Alcotest.(check bool) "escalated to tier 1" true (stats.Retry.retries >= 1)
+  Alcotest.(check bool)
+    "escalated to tier 1" true
+    (stats.Retry.tier1_rollbacks >= 1)
+
+(* --- tiers 2 and 3, pinned bitwise --------------------------------------- *)
+
+(* Digest of the (step, time bits) sequence [on_step] saw. *)
+let trace_digest seen =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun (step, time) ->
+      Buffer.add_int64_be b (Int64.of_int step);
+      Buffer.add_int64_be b (Int64.bits_of_float time))
+    seen;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Digest of the bits of every stored coefficient of the app's state. *)
+let state_digest app =
+  let b = Buffer.create 4096 in
+  List.iter
+    (Array.iter (fun x -> Buffer.add_int64_be b (Int64.bits_of_float x)))
+    (state_data app);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* A NaN struck after step [nan_step] of [small_spec], run to t = 0.5
+   under [policy]; returns the app, the (step, time) pairs [on_step] saw,
+   and the stats or the failure text. *)
+let faulted_run ?checkpoint_dir ?(checkpoint_every = 0) ~policy ~nan_step () =
+  let app = App.create (small_spec ()) in
+  let faults = Faults.none () in
+  faults.Faults.nan_step <- Some nan_step;
+  let seen = ref [] in
+  let result =
+    match
+      App.run_resilient ~policy ~faults ?checkpoint_dir ~checkpoint_every
+        ~on_step:(fun t -> seen := (App.nsteps t, App.time t) :: !seen)
+        app ~tend:0.5
+    with
+    | stats -> Ok stats
+    | exception Failure m -> Error m
+  in
+  (app, List.rev !seen, result)
+
+let check_seen tag expected seen =
+  Alcotest.(check (list int)) (tag ^ ": steps on_step saw") expected
+    (List.map fst seen)
+
+let final_clean app =
+  Health.is_clean (Health.check [ App.distribution app 0; App.em_field app ])
+
+let ladder_counts (s : Retry.stats) =
+  [ s.steps; s.tier1_rollbacks; s.tier2_restores; s.tier3_aborts ]
+
+let ckpt_steps dir =
+  List.filter
+    (fun s ->
+      Sys.file_exists (Filename.concat dir (Checkpoint.filename ~step:s)))
+    (List.init 20 Fun.id)
+
+(* The tier-1 run of "NaN at step k still reaches tend": the window of
+   steps 3-4 fails and rolls back to step 2.  The digests were taken
+   before the ladder's decisions moved into [Retry.decide]. *)
+let test_tier1_run_pinned () =
+  let policy = { Retry.default with Retry.check_every = 2 } in
+  let app, seen, result = faulted_run ~policy ~nan_step:3 () in
+  let stats = Result.get_ok result in
+  check_seen "tier 1" [ 1; 2; 3; 3; 4; 5; 6; 7; 8; 9 ] seen;
+  Alcotest.(check string) "on_step (step, time bits)"
+    "c9ce31b85d3768f488078d89ab857658" (trace_digest seen);
+  Alcotest.(check string) "final state bits" "36a3938a5b96fe8dc512a13ddd0663ce"
+    (state_digest app);
+  Alcotest.(check (list int)) "steps, rollbacks, restores, aborts"
+    [ 11; 1; 0; 0 ]
+    (ladder_counts stats)
+
+(* Tier 2: no in-memory retries, one restore.  The window of steps 5-6
+   fails and is restored from the step-4 checkpoint on disk, never rolled
+   back in memory, so it counts as a restore only. *)
+let tier2_policy =
+  {
+    Retry.default with
+    Retry.check_every = 2;
+    max_retries = 0;
+    max_restores = 1;
+  }
+
+let test_tier2_restores_checkpoint () =
+  let dir = tmpdir "tier2" in
+  let app, seen, result =
+    faulted_run ~checkpoint_dir:dir ~checkpoint_every:2 ~policy:tier2_policy
+      ~nan_step:5 ()
+  in
+  let stats = Result.get_ok result in
+  check_seen "tier 2" [ 1; 2; 3; 4; 5; 5; 6; 7; 8; 9 ] seen;
+  (* the replayed step 5 starts from the step-4 checkpoint *)
+  let ckpt4 = Filename.concat dir (Checkpoint.filename ~step:4) in
+  (match Checkpoint.read ckpt4 with
+  | _, 4, time ->
+      Alcotest.(check bool) "checkpoint 4 holds the time on_step saw at 4"
+        true
+        (List.assoc 4 seen = time)
+  | _ -> Alcotest.fail "ckpt_000000004 is not step 4");
+  Alcotest.(check string) "on_step (step, time bits)"
+    "b43c51cfb1044c8ded6c839334ddeafb" (trace_digest seen);
+  Alcotest.(check string) "final state bits" "9c26c78eadccff4ccdf6d47e3caa415f"
+    (state_digest app);
+  Alcotest.(check bool) "reached t = 0.5" true (App.time app = 0.5);
+  Alcotest.(check bool) "final state clean" true (final_clean app);
+  Alcotest.(check (list int))
+    "checkpoint steps" [ 2; 4; 6; 8 ] (ckpt_steps dir);
+  Alcotest.(check (list int)) "steps, rollbacks, restores, aborts"
+    [ 11; 0; 1; 0 ]
+    (ladder_counts stats);
+  Alcotest.(check int) "one health check per closed window" 6
+    stats.Retry.health_checks
+
+(* Tier 3 in process: with no restore budget the same failed window
+   aborts, after putting last-good (step 4) back on disk. *)
+let test_tier3_aborts () =
+  let dir = tmpdir "tier3" in
+  let policy = { tier2_policy with Retry.max_restores = 0 } in
+  let _, seen, result =
+    faulted_run ~checkpoint_dir:dir ~checkpoint_every:2 ~policy ~nan_step:5 ()
+  in
+  check_seen "tier 3" [ 1; 2; 3; 4; 5 ] seen;
+  (match result with
+  | Ok _ -> Alcotest.fail "tier 3 must raise"
+  | Error m ->
+      Alcotest.(check string) "failure text"
+        "Vm_app.run_resilient: aborting at t=0.303201 after 0 retries: \
+         non-finite (234 NaN, 0 Inf)"
+        m);
+  Alcotest.(check (list int)) "checkpoint steps" [ 2; 4 ] (ckpt_steps dir);
+  match Checkpoint.load_latest ~dir with
+  | Some (info, fields) ->
+      Alcotest.(check int) "newest is step 4" 4 info.Checkpoint.step;
+      Alcotest.(check bool) "newest loads clean" true
+        (Health.is_clean (Health.check fields))
+  | None -> Alcotest.fail "no valid checkpoint left"
+
+(* --- the ladder core: properties over random window sequences ----------- *)
+
+type scenario = {
+  policy : Retry.policy;
+  checkpoint_every : int;
+  can_restore : bool;
+  start_step : int;
+  windows : (bool * int * float * float) list;
+      (* healthy, steps in the window, dt, CFL dt *)
+}
+
+let pp_scenario s =
+  let p = s.policy in
+  Printf.sprintf
+    "check_every=%d max_retries=%d max_restores=%d shrink=%g grow=%g \
+     checkpoint_every=%d can_restore=%b start=%d windows=[%s]"
+    p.Retry.check_every p.Retry.max_retries p.Retry.max_restores
+    p.Retry.dt_shrink p.Retry.dt_grow s.checkpoint_every s.can_restore
+    s.start_step
+    (String.concat "; "
+       (List.map
+          (fun (h, n, dt, cfl) ->
+            Printf.sprintf "%s %d %g %g" (if h then "ok" else "FAIL") n dt cfl)
+          s.windows))
+
+(* Dyadic knobs and dts make the regrown ceiling land exactly on the CFL
+   dt now and then. *)
+let arb_scenario =
+  QCheck.make ~print:pp_scenario
+    QCheck.Gen.(
+      let dt_gen =
+        oneof [ float_range 1e-3 1.0; oneofl [ 0.125; 0.25; 0.5; 1.0 ] ]
+      in
+      let* check_every = int_range 1 4 in
+      let* max_retries = int_range 0 3 in
+      let* max_restores = int_range 0 2 in
+      let* dt_shrink = oneof [ float_range 0.1 0.9; oneofl [ 0.25; 0.5 ] ] in
+      let* dt_grow = oneof [ float_range 1.1 3.0; oneofl [ 2.0; 4.0 ] ] in
+      let* checkpoint_every = int_range 0 6 in
+      let* can_restore = bool in
+      let* start_step = int_range 0 20 in
+      let* p_fail = float_range 0.1 0.9 in
+      let* windows =
+        list_size (int_range 1 40)
+          (quad
+             (map (fun x -> x >= p_fail) (float_bound_inclusive 1.0))
+             (int_range 1 check_every) dt_gen dt_gen)
+      in
+      return
+        {
+          policy =
+            {
+              Retry.default with
+              Retry.check_every;
+              max_retries;
+              max_restores;
+              dt_shrink;
+              dt_grow;
+            };
+          checkpoint_every;
+          can_restore;
+          start_step;
+          windows;
+        })
+
+(* Feed the windows to [Retry.decide] as the run loop does, up to the
+   first abort: a window closes [n] steps after the last accepted one.
+   Returns (window, ladder before, decision, ladder after) per window. *)
+let replay s =
+  let rec go l step acc = function
+    | [] -> List.rev acc
+    | (healthy, n, dt, dt_cfl) :: rest -> (
+        let w = { Retry.healthy; step = step + n; dt; dt_cfl } in
+        let l', d = Retry.decide s.policy l ~can_restore:s.can_restore w in
+        let acc = (w, l, d, l') :: acc in
+        match d with
+        | Retry.Accept _ -> go l' w.Retry.step acc rest
+        | Retry.Rollback | Retry.Restore -> go l' step acc rest
+        | Retry.Abort -> List.rev acc)
+  in
+  go
+    (Retry.start ~checkpoint_every:s.checkpoint_every ~step:s.start_step)
+    s.start_step [] s.windows
+
+let decision_name = function
+  | Retry.Accept { checkpoint } ->
+      Printf.sprintf "Accept {checkpoint = %b}" checkpoint
+  | Retry.Rollback -> "Rollback"
+  | Retry.Restore -> "Restore"
+  | Retry.Abort -> "Abort"
+
+let prop_escalation =
+  QCheck.Test.make ~name:"ladder: rollback x max_retries, then restore or abort"
+    ~count:500 arb_scenario (fun s ->
+      let p = s.policy in
+      ignore
+        (List.fold_left
+           (fun (i, failed, restores) ((w : Retry.window), _, d, _) ->
+             let expect want failed restores =
+               (match (want, d) with
+               | `Accept, Retry.Accept _
+               | `Rollback, Retry.Rollback
+               | `Restore, Retry.Restore
+               | `Abort, Retry.Abort ->
+                   ()
+               | _ ->
+                   QCheck.Test.fail_reportf "window %d: got %s" i
+                     (decision_name d));
+               (i + 1, failed, restores)
+             in
+             if w.healthy then expect `Accept 0 restores
+             else if failed + 1 <= p.Retry.max_retries then
+               expect `Rollback (failed + 1) restores
+             else if restores < p.Retry.max_restores && s.can_restore then
+               expect `Restore 0 (restores + 1)
+             else expect `Abort (failed + 1) restores)
+           (0, 0, 0) (replay s));
+      true)
+
+let prop_dt_ceiling =
+  QCheck.Test.make
+    ~name:"ladder: failures shrink the dt ceiling, health regrows it"
+    ~count:500 arb_scenario (fun s ->
+      let p = s.policy in
+      List.iteri
+        (fun i ((w : Retry.window), (l : Retry.ladder), _, (l' : Retry.ladder))
+           ->
+          let want =
+            if w.healthy then
+              let c = l.dt_ceiling *. p.Retry.dt_grow in
+              if c >= w.dt_cfl then infinity else c
+            else Float.min l.dt_ceiling w.dt *. p.Retry.dt_shrink
+          in
+          if not (l'.dt_ceiling = want) then
+            QCheck.Test.fail_reportf "window %d: ceiling %g -> %g, want %g" i
+              l.dt_ceiling l'.dt_ceiling want;
+          if (not w.healthy) && not (l'.dt_ceiling < w.dt) then
+            QCheck.Test.fail_reportf "window %d: failed at dt %g, ceiling %g" i
+              w.dt l'.dt_ceiling)
+        (replay s);
+      true)
+
+let prop_checkpoint_cadence =
+  QCheck.Test.make
+    ~name:"ladder: checkpoint at the first healthy window K steps on" ~count:500
+    arb_scenario (fun s ->
+      ignore
+        (List.fold_left
+           (fun (i, last) ((w : Retry.window), _, d, _) ->
+             let due =
+               w.healthy && s.checkpoint_every > 0
+               && w.step >= last + s.checkpoint_every
+             in
+             let wrote = d = Retry.Accept { checkpoint = true } in
+             if wrote <> due then
+               QCheck.Test.fail_reportf
+                 "window %d at step %d (last checkpoint %d): %s" i w.step last
+                 (decision_name d);
+             (i + 1, if wrote then w.step else last))
+           (0, s.start_step) (replay s));
+      true)
+
+let prop_window_cadence =
+  QCheck.Test.make
+    ~name:"ladder: a window closes every check_every steps and at tend"
+    ~count:500
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size
+           Gen.(int_range 1 60)
+           (make Gen.(map (fun x -> x = 0) (int_bound 9)))))
+    (fun (check_every, ends) ->
+      let policy = { Retry.default with Retry.check_every } in
+      ignore
+        (List.fold_left
+           (fun (l, since) at_end ->
+             let l, due = Retry.tick policy l ~at_end in
+             let since = since + 1 in
+             if due <> (since = check_every || at_end) then
+               QCheck.Test.fail_reportf
+                 "%d steps since the last window, at_end=%b: due=%b" since
+                 at_end due;
+             (l, if due then 0 else since))
+           (Retry.start ~checkpoint_every:0 ~step:0, 0)
+           ends);
+      true)
 
 (* --- supervised stop ------------------------------------------------------- *)
 
@@ -843,7 +1173,21 @@ let () =
             test_tier0_absorbs_negativity;
           Alcotest.test_case "detect-only escalates to tier 1" `Quick
             test_detect_escalates_to_tier1;
+          Alcotest.test_case "tier-1 run pinned bitwise" `Quick
+            test_tier1_run_pinned;
+          Alcotest.test_case "tier 2 restores the step-4 checkpoint" `Quick
+            test_tier2_restores_checkpoint;
+          Alcotest.test_case "tier 3 aborts with last-good on disk" `Quick
+            test_tier3_aborts;
         ] );
+      ( "ladder core",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_escalation;
+            prop_dt_ceiling;
+            prop_checkpoint_cadence;
+            prop_window_cadence;
+          ] );
       ( "supervisor",
         [
           Alcotest.test_case "SIGTERM -> checkpoint -> bit-exact resume" `Quick
