@@ -535,7 +535,8 @@ let ablation () =
   let t_gen =
     time_per_call (fun () ->
         for _ = 1 to n_inner do
-          b12p2.Dg_genkernels.Kernels.vol ~scale:1.0 alpha f ~foff:0 out ~ooff:0
+          Dg_genkernels.Kernels.t3 b12p2.Dg_genkernels.Kernels.vol ~scale:1.0
+            alpha f ~foff:0 out ~ooff:0
         done)
     /. float_of_int n_inner
   in

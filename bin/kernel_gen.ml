@@ -1,9 +1,24 @@
-(* Prints the unrolled OCaml kernel registry — the counterpart of Gkeyll's
-   Maxima-generated C++ kernel tree (paper Fig. 1).  lib/genkernels/dune
-   runs it at build time to produce kernels.ml (readable afterwards at
-   _build/default/lib/genkernels/kernels.ml), which is compiled into
-   dg_genkernels, routed into the solver hot path by Dg_dispatch.Dispatch,
-   and cross-checked against the interpreted sparse tensors by the test
-   suite. *)
+(* Writes the generated kernel registry — the counterpart of Gkeyll's
+   Maxima-generated C++ kernel tree (paper Fig. 1) — as two files:
+   the C kernels with their id-indexed tables and the OCaml stubs, and the
+   OCaml module that names each direction's kernel ids.  lib/genkernels/dune
+   runs it at build time (the outputs are readable afterwards under
+   _build/default/lib/genkernels/), compiles both into dg_genkernels, which
+   Dg_dispatch.Dispatch routes into the solver hot path; the test suite
+   cross-checks the kernels against the interpreted sparse tensors.
 
-let () = print_endline (Dg_codegen.Codegen.registry_payload ())
+   Usage: kernel_gen KERNELS.ml KERNELS.c *)
+
+let write path contents =
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc contents)
+
+let () =
+  match Sys.argv with
+  | [| _; ml_path; c_path |] ->
+      let ml, c = Dg_codegen.Codegen.registry_sources () in
+      write ml_path ml;
+      write c_path c
+  | _ ->
+      prerr_endline "usage: kernel_gen KERNELS.ml KERNELS.c";
+      exit 2

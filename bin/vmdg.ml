@@ -3,7 +3,8 @@
    Subcommands:
      info          print basis dimensions, kernel sparsity, and which
                    directions run generated kernels, for a layout
-     kernel-dump   print an auto-generated unrolled kernel (paper Fig. 1)
+     kernel-dump   print a direction's auto-generated unrolled C kernels
+                   (paper Fig. 1)
      run           run a registry scenario and check its goldens
      scenarios     list the scenario registry
      serve         run a queue of jobs concurrently with checkpoint
@@ -153,32 +154,10 @@ let kernel_dump_cmd =
             "--dir %d is out of range: a %dX%dV layout has directions [0, %d)"
             dir cdim vdim pdim )
     else begin
-      (* print the emitter's volume kernel for this direction, for any
-         layout (also one the registry does not hold), with the pre-CSE
-         mult count, then its five face kernels *)
-      let lay = make_layout ~cdim ~vdim ~family ~p in
-      if dir < cdim then begin
-        let src, st =
-          Dg.Codegen.emit_streaming_volume_off lay ~dir ~name:"vol_stream"
-        in
-        print_string src;
-        Fmt.pr "@.(* %d multiplications; alias-free nodal quadrature estimate: \
-                %d *)@."
-          st.Dg.Codegen.raw_mults
-          (Dg.Codegen.nodal_mult_estimate lay)
-      end
-      else begin
-        let support = Dg.Tensors.acceleration_support lay ~vdir:dir in
-        let vol = Dg.Tensors.volume lay.Dg.Layout.basis ~support ~dir in
-        let src, st = Dg.Codegen.emit_t3_apply_off ~name:"vol_accel" vol in
-        print_string src;
-        Fmt.pr "@.(* %d multiplications *)@." st.Dg.Codegen.raw_mults
-      end;
-      (* the surface term in face form: restrict, face flux, lift *)
-      let k = Dg.Tensors.make_dir lay ~dir in
-      List.iter
-        (fun (_, _, src, _) -> Fmt.pr "@.%s" src)
-        (Dg.Codegen.emit_face_kernels k.Dg.Tensors.face ~name:Fun.id);
+      (* the emitter's C for this direction, for any layout (also one the
+         registry does not hold): volume kernel with its pre-CSE mult
+         count, the five face kernels, their tables *)
+      print_string (Dg.Codegen.dump_dir (make_layout ~cdim ~vdim ~family ~p) ~dir);
       `Ok ()
     end
   in
@@ -190,7 +169,7 @@ let kernel_dump_cmd =
   in
   Cmd.v
     (Cmd.info "kernel-dump"
-       ~doc:"Print the auto-generated unrolled volume and face kernels of a direction (cf. paper Fig. 1)")
+       ~doc:"Print the auto-generated unrolled C volume and face kernels of a direction (cf. paper Fig. 1)")
     Term.(ret (const run $ cdim_t $ vdim_t $ p_t $ family_t $ dir_t))
 
 (* --- run / scenarios (the registry-driven interface) ---------------------- *)

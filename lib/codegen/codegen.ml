@@ -1,13 +1,13 @@
-(* Generation of unrolled, matrix-free OCaml kernels from the sparse
-   coupling tensors — the analogue of the paper's Maxima-generated C++
-   kernels (Fig. 1).  The emitted code is straight-line: all loops unrolled,
-   all tensor entries folded to double-precision literals, terms grouped by
+(* Generation of unrolled, matrix-free C kernels from the sparse coupling
+   tensors — the analogue of the paper's Maxima-generated C++ kernels
+   (Fig. 1).  The emitted code is straight-line: all loops unrolled, all
+   tensor entries folded to double-precision literals, terms grouped by
    output coefficient so the compiler can schedule the dense instruction
    stream (the paper's ILP discussion).
 
    Three kernel kinds, all run in place on flat field storage:
    - [emit_t3_apply_off]: unrolls a generic 3-tensor application
-       out.(l) <- out.(l) + scale * sum_entries c * alpha.(m) * f.(n)
+       out[ooff + l] += scale * sum_entries c * alpha[m] * f[foff + n]
    - [emit_t2_apply_off]: the same for a 2-tensor application (the face
      restrictions and lifts);
    - [emit_streaming_volume_off]: the specialized Fig.-1-style kernel for
@@ -15,8 +15,18 @@
      flux expansion is folded in so the kernel takes only the cell geometry
      (velocity-cell center [wv] and width [dv]) and the distribution
      coefficients.
-   [registry_payload] bundles them per direction into the module that
-   lib/genkernels builds from. *)
+   Each kind has one table of function pointers, indexed by kernel id.
+   [registry_sources] emits every direction bundle of [standard_configs]
+   as one C file (kernels, tables, OCaml stubs) and the OCaml module that
+   maps each direction to its kernel ids; lib/genkernels builds both.
+
+   Every expression is written out fully parenthesized in the order it is
+   evaluated: products and sums associate to the left, a hoisted product
+   is one named temporary.  Built with -ffp-contract=off (no fused
+   multiply-add) and without -ffast-math, a C compiler must evaluate each
+   float operation exactly as written, so the kernels' results are fixed
+   by this file alone (test_dispatch pins them bit for bit). *)
+
 
 module Layout = Dg_kernels.Layout
 module Tensors = Dg_kernels.Tensors
@@ -25,7 +35,7 @@ module Flux = Dg_kernels.Flux
 module Modal = Dg_basis.Modal
 
 let lit v =
-  (* full-precision literal that round-trips and stays a float literal *)
+  (* full-precision literal that round-trips and stays a double literal *)
   let s = Printf.sprintf "%.17g" v in
   let s =
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'n') s then s
@@ -66,34 +76,33 @@ let nodal_mult_estimate (lay : Layout.t) =
      factor of the quadrature update *)
   (nq * np) + (pdim * (nq + (np * nq)))
 
+
 (* --- unrolled kernels (run directly on field blocks) -------------------- *)
 
 (* The unrolled kernels read f at [foff + n] and write out at [ooff + l],
-   matching Sparse.apply_t3_off/apply_t2_off: the solver hot
-   path calls these on the big per-cell blocks of a field without copying.
-   All indexed access is emitted as [Array.unsafe_get]/[Array.unsafe_set]:
-   offsets come from Field.unsafe_cell_offset and every index is a literal
-   within the cell block, so the bounds are established once per cell, not
-   per float (arm VMDG_BOUNDS_CHECK=1 to re-check offsets at the Field
-   layer when debugging). *)
+   matching Sparse.apply_t3_off/apply_t2_off: the solver hot path calls
+   them on the big per-cell blocks of a field without copying.  Nothing is
+   bounds-checked: offsets come from Field.unsafe_cell_offset and every
+   index is a literal within the cell block, so the bounds are established
+   once per cell, not per float (arm VMDG_BOUNDS_CHECK=1 to re-check
+   offsets at the Field layer when debugging).  [f] and [out] may be the
+   same array (the face flux reads its traces from the scratch it writes
+   G into), so no pointer is declared [restrict]. *)
 
 (* Per-emitted-kernel statistics, echoed into the generated header comment
    and the registry bundles. *)
 type stats = {
   raw_mults : int; (* multiplications of the plain unrolled form *)
   cse_mults : int; (* after common-subexpression elimination *)
-  chunks : int; (* part functions the kernel was split into *)
+  chunks : int; (* parts (CSE scopes) the kernel was split into *)
 }
 
-(* Large straight-line bodies make ocamlopt's per-function passes blow up
-   (register allocation over thousands of simultaneously-live CSE temps is
-   superlinear: a single 16k-mult part function sent the compiler past
-   17 GB) and thrash the instruction cache; chunk output rows into
-   part-functions of at most [max_rows] rows AND at most
-   [chunk_mult_budget] unrolled multiplications (sequential row ranges),
-   stitched by a same-signature wrapper.  Large kernels (the 2x3v p2
-   acceleration volume terms) thus compile as a sequence of small
-   parts. *)
+(* The CSE pass hoists products within one part of a kernel: output rows
+   in sequential ranges of at most [max_rows] rows AND at most
+   [chunk_mult_budget] unrolled multiplications, each emitted as its own
+   block.  The bounds fix which products are hoisted, and a hoisted
+   product rounds as [c * (alpha * f)] where an inline one rounds as
+   [(c * alpha) * f]: moving them changes result bits. *)
 let max_rows = 8
 let chunk_mult_budget = 2_000
 
@@ -108,56 +117,44 @@ let chunk_rows ~row_cost rows =
   in
   go [] [] 0 0 rows
 
-(* Emit [name] over chunked [rows]: [emit_part] renders one part's body
-   (preamble + rows); the wrapper forwards [call_args] to every part.
-   Returns the number of part functions. *)
-let emit_chunked ~name ~header ~call_args ~empty_body ~row_cost ~emit_part
-    rows buf =
-  match rows with
-  | [] ->
-      Buffer.add_string buf (header name);
-      Buffer.add_string buf empty_body;
-      1
-  | rows -> (
-      let chunks = chunk_rows ~row_cost rows in
-      match chunks with
-      | [ only ] ->
-          Buffer.add_string buf (header name);
-          emit_part buf only;
-          Buffer.add_string buf "  ()\n";
-          1
-      | chunks ->
-          List.iteri
-            (fun i chunk ->
-              Buffer.add_string buf
-                (header (Printf.sprintf "%s_part%d" name i));
-              emit_part buf chunk;
-              Buffer.add_string buf "  ()\n\n")
-            chunks;
-          Buffer.add_string buf (header name);
-          List.iteri
-            (fun i _ ->
-              Buffer.add_string buf
-                (Printf.sprintf "  %s_part%d %s;\n" name i call_args))
-            chunks;
-          Buffer.add_string buf "  ()\n";
-          List.length chunks)
+(* The C parameter lists of the three kernel kinds. *)
+let t3_params =
+  "double scale, const double *alpha, const double *f, ptrdiff_t foff, \
+   double *out, ptrdiff_t ooff"
 
-let ag m = Printf.sprintf "(Array.unsafe_get alpha %d)" m
-let fg n = Printf.sprintf "(Array.unsafe_get f (foff + %d))" n
+let t2_params =
+  "double scale, const double *f, ptrdiff_t foff, double *out, ptrdiff_t ooff"
+
+let stream_params =
+  "double wv, double dv, double rdx2, const double *f, ptrdiff_t foff, \
+   double *out, ptrdiff_t ooff"
+
+(* Emit C function [name] over chunked [rows], one block per part:
+   [emit_part] renders one part's body (hoisted temporaries, then the row
+   updates).  Returns the number of parts. *)
+let emit_chunked ~name ~params ~row_cost ~emit_part rows buf =
+  Buffer.add_string buf (Printf.sprintf "static void %s(%s)\n{\n" name params);
+  let chunks = chunk_rows ~row_cost rows in
+  List.iter
+    (fun chunk ->
+      Buffer.add_string buf "  {\n";
+      emit_part buf chunk;
+      Buffer.add_string buf "  }\n")
+    chunks;
+  Buffer.add_string buf "}\n";
+  max 1 (List.length chunks)
+
+let ag m = Printf.sprintf "alpha[%d]" m
+let fg n = Printf.sprintf "f[foff + %d]" n
 
 let out_update buf l rhs =
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  Array.unsafe_set out (ooff + %d) ((Array.unsafe_get out (ooff + \
-        %d)) +. %s);\n"
-       l l rhs)
+  Buffer.add_string buf (Printf.sprintf "    out[ooff + %d] += %s;\n" l rhs)
 
-(* The CSE pass over one part's multiply-add list: [alpha.(m) *. f.(n)]
+(* The CSE pass over one part's multiply-add list: [alpha[m] * f[n]]
    products recurring across output rows (shared face sums and
    alpha-weighted terms recur heavily in velocity-direction kernels) are
-   hoisted into one let-binding each, turning their uses from two
-   multiplications into one.  Scoped per part function so every chunk stays
+   hoisted into one temporary each, turning their uses from two
+   multiplications into one.  Scoped per part, so every block stays
    self-contained straight-line code. *)
 let emit_t3_part ~cse_mults buf rows =
   let counts = Hashtbl.create 128 in
@@ -176,7 +173,8 @@ let emit_t3_part ~cse_mults buf rows =
   List.iter
     (fun (m, n) ->
       Buffer.add_string buf
-        (Printf.sprintf "  let x%d_%d = %s *. %s in\n" m n (ag m) (fg n));
+        (Printf.sprintf "    const double x%d_%d = %s * %s;\n" m n (ag m)
+           (fg n));
       incr cse_mults)
     hoisted;
   let is_hoisted mn =
@@ -185,17 +183,17 @@ let emit_t3_part ~cse_mults buf rows =
   List.iter
     (fun (l, terms) ->
       let b = Buffer.create 256 in
-      Buffer.add_string b "scale *. (";
+      Buffer.add_string b "scale * (";
       List.iteri
         (fun i (m, n, c) ->
-          if i > 0 then Buffer.add_string b " +. ";
+          if i > 0 then Buffer.add_string b " + ";
           if is_hoisted (m, n) then begin
-            Buffer.add_string b (Printf.sprintf "%s *. x%d_%d" (lit c) m n);
+            Buffer.add_string b (Printf.sprintf "%s * x%d_%d" (lit c) m n);
             incr cse_mults
           end
           else begin
             Buffer.add_string b
-              (Printf.sprintf "%s *. %s *. %s" (lit c) (ag m) (fg n));
+              (Printf.sprintf "%s * %s * %s" (lit c) (ag m) (fg n));
             cse_mults := !cse_mults + 2
           end)
         terms;
@@ -205,24 +203,15 @@ let emit_t3_part ~cse_mults buf rows =
     rows
 
 let kernel_comment name (st : stats) =
-  Printf.sprintf "(* %s: %d mults unrolled, %d after cse, %d chunk%s *)\n"
+  Printf.sprintf "/* %s: %d mults unrolled, %d after cse, %d chunk%s */\n"
     name st.raw_mults st.cse_mults st.chunks
     (if st.chunks = 1 then "" else "s")
 
 let emit_t3_apply_off ~name (t : Sparse.t3) =
   let body = Buffer.create 4096 in
-  let header n =
-    Printf.sprintf
-      "let %s ~scale (alpha : float array) (f : float array) ~(foff : int) \
-       (out : float array) ~(ooff : int) =\n"
-      n
-  in
   let cse_mults = ref 0 in
   let chunks =
-    emit_chunked ~name ~header ~call_args:"~scale alpha f ~foff out ~ooff"
-      ~empty_body:
-        "  ignore scale; ignore alpha; ignore f; ignore foff; ignore out; \
-         ignore ooff\n"
+    emit_chunked ~name ~params:t3_params
       ~row_cost:(fun (_, terms) -> 1 + (2 * List.length terms))
       ~emit_part:(emit_t3_part ~cse_mults) (rows_of_t3 t) body
   in
@@ -245,26 +234,20 @@ let mult_count_t2 (t : Sparse.t2) =
     (fun acc (_, terms) -> acc + 1 + List.length terms)
     0 (rows_of_t2 t)
 
-(* t2 terms are single products [v *. f.(c)] — no shared alpha*f pairs to
-   eliminate, so the pass is plain unrolling with unsafe access. *)
+(* t2 terms are single products [v * f[c]]: no shared alpha*f pairs to
+   eliminate, so the pass is plain unrolling. *)
 let emit_t2_apply_off ~name (t : Sparse.t2) =
   let body = Buffer.create 2048 in
-  let header n =
-    Printf.sprintf
-      "let %s ~scale (f : float array) ~(foff : int) (out : float array) \
-       ~(ooff : int) =\n"
-      n
-  in
   let cse_mults = ref 0 in
   let emit_part buf rows =
     List.iter
       (fun (r, terms) ->
         let b = Buffer.create 128 in
-        Buffer.add_string b "scale *. (";
+        Buffer.add_string b "scale * (";
         List.iteri
           (fun i (c, v) ->
-            if i > 0 then Buffer.add_string b " +. ";
-            Buffer.add_string b (Printf.sprintf "%s *. %s" (lit v) (fg c));
+            if i > 0 then Buffer.add_string b " + ";
+            Buffer.add_string b (Printf.sprintf "%s * %s" (lit v) (fg c));
             incr cse_mults)
           terms;
         Buffer.add_string b ")";
@@ -273,9 +256,7 @@ let emit_t2_apply_off ~name (t : Sparse.t2) =
       rows
   in
   let chunks =
-    emit_chunked ~name ~header ~call_args:"~scale f ~foff out ~ooff"
-      ~empty_body:
-        "  ignore scale; ignore f; ignore foff; ignore out; ignore ooff\n"
+    emit_chunked ~name ~params:t2_params
       ~row_cost:(fun (_, terms) -> 1 + List.length terms)
       ~emit_part (rows_of_t2 t) body
   in
@@ -288,7 +269,7 @@ let emit_t2_apply_off ~name (t : Sparse.t2) =
    so each output row becomes  out_l += rdx2 * (A_l * wv + B_l * dv)
    with A_l, B_l literal dot products of f — the same "pull out common
    factors" structure the CAS applies in Gkeyll.  Already in this
-   minimal-multiplication form, so the pass here is unsafe access +
+   minimal-multiplication form, so the pass here is unrolling and
    chunking only (no CSE: [cse_mults = raw_mults]). *)
 let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
   let support = Tensors.streaming_support lay ~dir in
@@ -299,12 +280,6 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
   let const_idx = support.(0) and lin_idx = support.(1) in
   let rows = rows_of_t3 vol in
   let body = Buffer.create 4096 in
-  let header n =
-    Printf.sprintf
-      "let %s ~(wv : float) ~(dv : float) ~(rdx2 : float) (f : float array) \
-       ~(foff : int) (out : float array) ~(ooff : int) =\n"
-      n
-  in
   let split terms =
     ( List.filter (fun (m, _, _) -> m = const_idx) terms,
       List.filter (fun (m, _, _) -> m = lin_idx) terms )
@@ -325,23 +300,23 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
         let dot coeff items =
           List.iteri
             (fun i (_, n, c) ->
-              if i > 0 then Buffer.add_string b " +. ";
+              if i > 0 then Buffer.add_string b " + ";
               Buffer.add_string b
-                (Printf.sprintf "%s *. %s" (lit (c *. coeff)) (fg n));
+                (Printf.sprintf "%s * %s" (lit (c *. coeff)) (fg n));
               incr mults)
             items
         in
-        Buffer.add_string b "rdx2 *. (";
+        Buffer.add_string b "rdx2 * (";
         let has_wv = wv_terms <> [] and has_dv = dv_terms <> [] in
         if has_wv then begin
-          Buffer.add_string b "(wv *. (";
+          Buffer.add_string b "(wv * (";
           dot c0 wv_terms;
           Buffer.add_string b "))";
           incr mults
         end;
         if has_dv then begin
-          if has_wv then Buffer.add_string b " +. ";
-          Buffer.add_string b "(dv *. (";
+          if has_wv then Buffer.add_string b " + ";
+          Buffer.add_string b "(dv * (";
           dot c1 dv_terms;
           Buffer.add_string b "))";
           incr mults
@@ -353,14 +328,112 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
       rows
   in
   let chunks =
-    emit_chunked ~name ~header ~call_args:"~wv ~dv ~rdx2 f ~foff out ~ooff"
-      ~empty_body:
-        "  ignore wv; ignore dv; ignore rdx2; ignore f; ignore foff; ignore \
-         out; ignore ooff\n"
-      ~row_cost ~emit_part rows body
+    emit_chunked ~name ~params:stream_params ~row_cost ~emit_part rows body
   in
   let st = { raw_mults = !mults; cse_mults = !mults; chunks } in
   (kernel_comment name st ^ Buffer.contents body, st)
+
+(* --- translation units: kernels plus one id-indexed table per kind ------- *)
+
+type kind = T3 | T2 | Stream
+
+(* A C translation unit under construction: the kernel definitions in
+   emission order, and every kernel's kind and name, newest first. *)
+type tu = { src : Buffer.t; mutable kernels : (kind * string) list }
+
+let new_tu () = { src = Buffer.create 65536; kernels = [] }
+
+let names_of tu kind =
+  List.rev
+    (List.filter_map
+       (fun (k, name) -> if k = kind then Some name else None)
+       tu.kernels)
+
+(* Append kernel [name] of [kind] to [tu]; returns its id, the index of
+   its entry in the table of its kind. *)
+let add_kernel tu kind ~name src =
+  Buffer.add_string tu.src src;
+  Buffer.add_char tu.src '\n';
+  let id = List.length (names_of tu kind) in
+  tu.kernels <- (kind, name) :: tu.kernels;
+  id
+
+let c_prelude =
+  Printf.sprintf
+    "#include <stddef.h>\n\n\
+     typedef void (*dg_t3_fn)(%s);\n\
+     typedef void (*dg_t2_fn)(%s);\n\
+     typedef void (*dg_stream_fn)(%s);\n\n"
+    t3_params t2_params stream_params
+
+(* One [static const] function-pointer table per non-empty kind, entry
+   [id] the kernel of that id. *)
+let c_tables tu =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (ty, table, names) ->
+      if names <> [] then begin
+        Buffer.add_string b
+          (Printf.sprintf "static const %s %s[] = {\n" ty table);
+        List.iteri
+          (fun id name ->
+            Buffer.add_string b (Printf.sprintf "  %s, /* %d */\n" name id))
+          names;
+        Buffer.add_string b "};\n\n"
+      end)
+    [
+      ("dg_t3_fn", "dg_t3_table", names_of tu T3);
+      ("dg_t2_fn", "dg_t2_table", names_of tu T2);
+      ("dg_stream_fn", "dg_stream_table", names_of tu Stream);
+    ];
+  Buffer.contents b
+
+(* The five face kernels of a direction (Tensors.face), in the order the
+   solver runs them: restrict both traces, the face triple, lift into
+   both cells.  Returns (bundle field, kind, kernel name, source, stats)
+   per kernel; [name kind] names the kernel of kind [kind]. *)
+let face_kernels (fc : Tensors.face) ~name =
+  let t2 field kind t =
+    let src, st = emit_t2_apply_off ~name:(name kind) t in
+    (field, T2, name kind, src, st)
+  in
+  let src, st = emit_t3_apply_off ~name:(name "face") fc.Tensors.triple in
+  [
+    t2 "restrict_lo" "rlo" fc.Tensors.restrict_lo;
+    t2 "restrict_hi" "rhi" fc.Tensors.restrict_hi;
+    ("face", T3, name "face", src, st);
+    t2 "lift_lo" "llo" fc.Tensors.lift_lo;
+    t2 "lift_hi" "lhi" fc.Tensors.lift_hi;
+  ]
+
+(* The C translation unit of one direction of any layout, also one the
+   registry does not hold: its volume kernel (the streaming form on a
+   configuration direction, the acceleration volume term otherwise) with
+   its pre-CSE mult count, its five face kernels and their tables.  Needs
+   nothing but <stddef.h>. *)
+let dump_dir (lay : Layout.t) ~dir =
+  let tu = new_tu () in
+  let note =
+    if Layout.is_config_dir lay dir then begin
+      let src, st = emit_streaming_volume_off lay ~dir ~name:"vol_stream" in
+      ignore (add_kernel tu Stream ~name:"vol_stream" src);
+      Printf.sprintf
+        "/* %d multiplications; alias-free nodal quadrature estimate: %d */\n"
+        st.raw_mults (nodal_mult_estimate lay)
+    end
+    else begin
+      let support = Tensors.acceleration_support lay ~vdir:dir in
+      let vol = Tensors.volume lay.Layout.basis ~support ~dir in
+      let src, st = emit_t3_apply_off ~name:"vol_accel" vol in
+      ignore (add_kernel tu T3 ~name:"vol_accel" src);
+      Printf.sprintf "/* %d multiplications */\n" st.raw_mults
+    end
+  in
+  Buffer.add_string tu.src (note ^ "\n");
+  List.iter
+    (fun (_, kind, name, src, _) -> ignore (add_kernel tu kind ~name src))
+    (face_kernels (Tensors.make_dir lay ~dir).Tensors.face ~name:Fun.id);
+  c_prelude ^ Buffer.contents tu.src ^ c_tables tu
 
 (* --- per-direction kernel bundles and the dispatch registry ------------- *)
 
@@ -416,72 +489,182 @@ let basis_signature basis =
               (Array.map string_of_int
                  (Dg_util.Multi_index.to_array (Dg_basis.Modal.index basis k))))))
 
-(* The five face kernels of a direction (Tensors.face), in the order the
-   solver runs them: restrict both traces, the face triple, lift into
-   both cells.  Returns (bundle field, kernel name, source, stats) per
-   kernel; [name kind] names the kernel of kind [kind]. *)
-let emit_face_kernels (fc : Tensors.face) ~name =
-  let t2 field kind t =
-    let src, st = emit_t2_apply_off ~name:(name kind) t in
-    (field, name kind, src, st)
-  in
-  let src, st = emit_t3_apply_off ~name:(name "face") fc.Tensors.triple in
-  [
-    t2 "restrict_lo" "rlo" fc.Tensors.restrict_lo;
-    t2 "restrict_hi" "rhi" fc.Tensors.restrict_hi;
-    ("face", name "face", src, st);
-    t2 "lift_lo" "llo" fc.Tensors.lift_lo;
-    t2 "lift_hi" "lhi" fc.Tensors.lift_hi;
-  ]
-
-(* Emit the kernel bundle for one (layout, dir); returns
-   (source, hot-path stats).  Stats count only the kernels the dispatcher
-   actually runs (the streaming volume form is preferred over the generic
-   one on configuration directions). *)
-let emit_dir_bundle (lay : Layout.t) ~dir ~tag =
+(* Emit the kernels of one (layout, dir) into [tu]; returns the OCaml
+   bundle record naming their ids, and the hot-path stats.  Stats count
+   only the kernels the dispatcher actually runs (the streaming volume
+   form is preferred over the generic one on configuration directions). *)
+let emit_dir_bundle tu (lay : Layout.t) ~dir ~tag =
   let dk = Tensors.make_dir lay ~dir in
   let n kind = Printf.sprintf "%s_%s_d%d" kind tag dir in
-  let buf = Buffer.create 16384 in
   let raw = ref 0 and cse = ref 0 and chunks = ref 0 in
-  let add ?(counted = true) src (st : stats) =
-    Buffer.add_string buf src;
-    Buffer.add_char buf '\n';
+  let add ?(counted = true) kind name (src, (st : stats)) =
     if counted then begin
       raw := !raw + st.raw_mults;
       cse := !cse + st.cse_mults;
       chunks := !chunks + st.chunks
-    end
+    end;
+    add_kernel tu kind ~name src
   in
   let stream = Layout.is_config_dir lay dir in
-  if stream then begin
-    let src, st = emit_streaming_volume_off lay ~dir ~name:(n "vs") in
-    add src st
-  end;
+  let vol_stream =
+    if stream then
+      Some
+        (add Stream (n "vs") (emit_streaming_volume_off lay ~dir ~name:(n "vs")))
+    else None
+  in
   (* generic alpha-based volume kernel: counted only when no specialized
      streaming form exists (the dispatcher prefers the streaming form) *)
-  let vol_src, vol_st = emit_t3_apply_off ~name:(n "vol") dk.Tensors.vol in
-  add ~counted:(not stream) vol_src vol_st;
-  let faces = emit_face_kernels dk.Tensors.face ~name:n in
-  List.iter (fun (_, _, src, st) -> add src st) faces;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "let b_%s_d%d : bundle = { vol = %s; vol_stream = %s; %s; mults = %d; \
-        mults_raw = %d; chunks = %d }\n"
-       tag dir (n "vol")
-       (if stream then "Some " ^ n "vs" else "None")
-       (String.concat "; "
-          (List.map (fun (field, kname, _, _) -> field ^ " = " ^ kname) faces))
-       !cse !raw !chunks);
-  (Buffer.contents buf, { raw_mults = !raw; cse_mults = !cse; chunks = !chunks })
+  let vol =
+    add ~counted:(not stream) T3 (n "vol")
+      (emit_t3_apply_off ~name:(n "vol") dk.Tensors.vol)
+  in
+  let faces =
+    List.map
+      (fun (field, kind, name, src, st) ->
+        Printf.sprintf "%s = %d" field (add kind name (src, st)))
+      (face_kernels dk.Tensors.face ~name:n)
+  in
+  let record =
+    Printf.sprintf
+      "let b_%s_d%d : bundle = { vol = %d; vol_stream = %s; %s; mults = %d; \
+       mults_raw = %d; chunks = %d }\n"
+      tag dir vol
+      (match vol_stream with
+      | Some id -> Printf.sprintf "Some %d" id
+      | None -> "None")
+      (String.concat "; " faces) !cse !raw !chunks
+  in
+  (record, { raw_mults = !raw; cse_mults = !cse; chunks = !chunks })
 
-let dir_stats lay ~dir = snd (emit_dir_bundle lay ~dir ~tag:"stats")
+let dir_stats lay ~dir = snd (emit_dir_bundle (new_tu ()) lay ~dir ~tag:"stats")
 
-(* The complete generated-kernel module: per-direction bundles for every
-   direction of every standard configuration, plus a registry keyed by
-   (family, poly_order, cdim, vdim, dir).  Deterministic: lib/genkernels
-   builds kernels.ml from it through bin/kernel_gen. *)
-let registry_payload () =
-  let buf = Buffer.create (1 lsl 20) in
+(* The OCaml side of the registry, ahead of the bundle records: the
+   flat-float-array check, one external per kernel kind, the bundle
+   type. *)
+let ml_prelude =
+  {|let () =
+  (* the C kernels read a float array as the doubles it points to *)
+  if Obj.tag (Obj.repr [| 0. |]) <> Obj.double_array_tag then
+    failwith
+      "Dg_genkernels.Kernels: float arrays are not flat (a \
+       -no-flat-float-array compiler); the generated kernels need them flat"
+
+(* [t3 id ~scale alpha f ~foff out ~ooff]: kernel [id] of the 3-tensor
+   table, out.(ooff + l) += scale * c * alpha.(m) * f.(foff + n).  The
+   C code checks no bound and [id] must come from a bundle. *)
+external t3 :
+  (int[@untagged]) ->
+  scale:(float[@unboxed]) ->
+  float array ->
+  float array ->
+  foff:(int[@untagged]) ->
+  float array ->
+  ooff:(int[@untagged]) ->
+  unit = "dg_gen_t3_byte" "dg_gen_t3"
+[@@noalloc]
+
+(* [t2 id ~scale f ~foff out ~ooff]: kernel [id] of the 2-tensor table
+   (face restrictions and lifts), out.(ooff + r) += scale * v * f.(foff + c). *)
+external t2 :
+  (int[@untagged]) ->
+  scale:(float[@unboxed]) ->
+  float array ->
+  foff:(int[@untagged]) ->
+  float array ->
+  ooff:(int[@untagged]) ->
+  unit = "dg_gen_t2_byte" "dg_gen_t2"
+[@@noalloc]
+
+(* [stream id ~wv ~dv ~rdx2 f ~foff out ~ooff]: kernel [id] of the
+   streaming-volume table, which takes the velocity-cell center and width
+   in place of a flux expansion. *)
+external stream :
+  (int[@untagged]) ->
+  wv:(float[@unboxed]) ->
+  dv:(float[@unboxed]) ->
+  rdx2:(float[@unboxed]) ->
+  float array ->
+  foff:(int[@untagged]) ->
+  float array ->
+  ooff:(int[@untagged]) ->
+  unit = "dg_gen_stream_byte" "dg_gen_stream"
+[@@noalloc]
+
+(* One direction's kernel ids (into the t3, t2 and stream tables) and
+   its mult counts. *)
+type bundle = {
+  vol : int;
+  vol_stream : int option;
+  restrict_lo : int;
+  restrict_hi : int;
+  face : int;
+  lift_lo : int;
+  lift_hi : int;
+  mults : int;
+  mults_raw : int;
+  chunks : int;
+}
+
+|}
+
+(* The C entry points of the externals in [ml_prelude]: native ones take
+   untagged ints and unboxed floats, bytecode ones the boxed arguments. *)
+let c_stubs =
+  {|value dg_gen_t3(intnat id, double scale, value alpha, value f, intnat foff,
+                value out, intnat ooff)
+{
+  dg_t3_table[id](scale, (const double *) alpha, (const double *) f, foff,
+                  (double *) out, ooff);
+  return Val_unit;
+}
+
+value dg_gen_t3_byte(value *argv, int argn)
+{
+  (void) argn;
+  return dg_gen_t3(Long_val(argv[0]), Double_val(argv[1]), argv[2], argv[3],
+                   Long_val(argv[4]), argv[5], Long_val(argv[6]));
+}
+
+value dg_gen_t2(intnat id, double scale, value f, intnat foff, value out,
+                intnat ooff)
+{
+  dg_t2_table[id](scale, (const double *) f, foff, (double *) out, ooff);
+  return Val_unit;
+}
+
+value dg_gen_t2_byte(value *argv, int argn)
+{
+  (void) argn;
+  return dg_gen_t2(Long_val(argv[0]), Double_val(argv[1]), argv[2],
+                   Long_val(argv[3]), argv[4], Long_val(argv[5]));
+}
+
+value dg_gen_stream(intnat id, double wv, double dv, double rdx2, value f,
+                    intnat foff, value out, intnat ooff)
+{
+  dg_stream_table[id](wv, dv, rdx2, (const double *) f, foff, (double *) out,
+                      ooff);
+  return Val_unit;
+}
+
+value dg_gen_stream_byte(value *argv, int argn)
+{
+  (void) argn;
+  return dg_gen_stream(Long_val(argv[0]), Double_val(argv[1]),
+                       Double_val(argv[2]), Double_val(argv[3]), argv[4],
+                       Long_val(argv[5]), argv[6], Long_val(argv[7]));
+}
+|}
+
+(* The generated-kernel sources: [(ml, c)], the OCaml module (externals,
+   a bundle of kernel ids for every direction of every standard
+   configuration, and [find], the registry keyed by (family, poly_order,
+   cdim, vdim, dir)) and the C file (the kernels, their tables and the
+   stubs of the externals).  Deterministic: lib/genkernels builds
+   kernels.ml and kernel_table.c from it through bin/kernel_gen. *)
+let registry_sources () =
+  let tu = new_tu () in
+  let records = Buffer.create 65536 in
   let index = Buffer.create 1024 in
   let arms = Buffer.create 4096 in
   let seen = Hashtbl.create 16 in
@@ -496,9 +679,8 @@ let registry_payload () =
         | None ->
             let tag = config_tag ~family ~p ~cdim ~vdim in
             for dir = 0 to lay.Layout.pdim - 1 do
-              let src, st = emit_dir_bundle lay ~dir ~tag in
-              Buffer.add_string buf src;
-              Buffer.add_char buf '\n';
+              let record, st = emit_dir_bundle tu lay ~dir ~tag in
+              Buffer.add_string records record;
               Buffer.add_string index
                 (Printf.sprintf
                    "   %s dir %d: %d mults unrolled, %d after cse, %d chunks\n"
@@ -514,38 +696,32 @@ let registry_payload () =
              p cdim vdim dir tag dir)
       done)
     standard_configs;
-  let out = Buffer.create (1 lsl 20) in
-  Buffer.add_string out
-    "(* Auto-generated unrolled modal DG kernel bundles (paper Fig. 1 \
-     analogue).\n";
-  Buffer.add_buffer out index;
-  Buffer.add_string out "   DO NOT EDIT: generated by bin/kernel_gen. *)\n\n";
-  Buffer.add_string out
-    "type t3_fn =\n\
-    \  scale:float -> float array -> float array -> foff:int -> float array ->\n\
-    \  ooff:int -> unit\n\n\
-     type t2_fn =\n\
-    \  scale:float -> float array -> foff:int -> float array -> ooff:int -> unit\n\n\
-     type stream_fn =\n\
-    \  wv:float -> dv:float -> rdx2:float -> float array -> foff:int ->\n\
-    \  float array -> ooff:int -> unit\n\n\
-     type bundle = {\n\
-    \  vol : t3_fn;\n\
-    \  vol_stream : stream_fn option;\n\
-    \  restrict_lo : t2_fn;\n\
-    \  restrict_hi : t2_fn;\n\
-    \  face : t3_fn;\n\
-    \  lift_lo : t2_fn;\n\
-    \  lift_hi : t2_fn;\n\
-    \  mults : int;\n\
-    \  mults_raw : int;\n\
-    \  chunks : int;\n\
-     }\n\n";
-  Buffer.add_buffer out buf;
-  Buffer.add_string out
-    "let find ~(family : string) ~(poly_order : int) ~(cdim : int) \
-     ~(vdim : int) ~(dir : int) =\n\
-    \  match (family, poly_order, cdim, vdim, dir) with\n";
-  Buffer.add_buffer out arms;
-  Buffer.add_string out "  | _ -> None\n";
-  Buffer.contents out
+  let header =
+    "Auto-generated unrolled modal DG kernel bundles (paper Fig. 1 \
+     analogue).\n" ^ Buffer.contents index
+    ^ "   DO NOT EDIT: generated by bin/kernel_gen."
+  in
+  let ml =
+    String.concat ""
+      [
+        "(* " ^ header ^ " *)\n\n";
+        ml_prelude;
+        Buffer.contents records;
+        "\nlet find ~(family : string) ~(poly_order : int) ~(cdim : int) \
+         ~(vdim : int) ~(dir : int) =\n\
+        \  match (family, poly_order, cdim, vdim, dir) with\n";
+        Buffer.contents arms;
+        "  | _ -> None\n";
+      ]
+  in
+  let c =
+    String.concat ""
+      [
+        "/* " ^ header ^ " */\n\n#include <caml/mlvalues.h>\n";
+        c_prelude;
+        Buffer.contents tu.src;
+        c_tables tu;
+        c_stubs;
+      ]
+  in
+  (ml, c)

@@ -1,9 +1,11 @@
-(** Generation of unrolled, matrix-free OCaml kernels from the sparse
+(** Generation of unrolled, matrix-free C kernels from the sparse
     coupling tensors — the analogue of the paper's Maxima-generated C++
     kernels (Fig. 1).  Emitted code is straight-line with all tensor
-    entries folded to literals.  [lib/genkernels] builds its module from
-    {!registry_payload} at build time (through [bin/kernel_gen]); nothing
-    generated is committed. *)
+    entries folded to literals, each expression written in the order it
+    is evaluated, so that a build without contraction
+    ([-ffp-contract=off]) fixes every result bit.  [lib/genkernels]
+    builds its C file and OCaml module from {!registry_sources} at build
+    time (through [bin/kernel_gen]); nothing generated is committed. *)
 
 module Layout = Dg_kernels.Layout
 module Sparse = Dg_kernels.Sparse
@@ -20,17 +22,17 @@ val nodal_mult_estimate : Layout.t -> int
 type stats = {
   raw_mults : int;  (** multiplications of the plain unrolled form *)
   cse_mults : int;  (** after common-subexpression elimination *)
-  chunks : int;  (** part functions the kernel was split into *)
+  chunks : int;  (** parts (CSE scopes) the kernel was split into *)
 }
 (** Cost accounting for an emitted offset kernel; surfaces in the
     per-kernel header comment and the registry bundle metadata. *)
 
 val emit_t3_apply_off : name:string -> Sparse.t3 -> string * stats
-(** Unrolled 3-tensor application reading [Array.unsafe_get f (foff + n)]
-    and accumulating into [out.(ooff + l)] via [Array.unsafe_set] — runs
-    in place on flat field storage.  Repeated [alpha.(m) * f.(n)] products
-    are hoisted (CSE) and kernels over the per-part multiplication budget
-    are split into sequential part functions stitched by a wrapper. *)
+(** The C function [name] applying a 3-tensor in place on flat storage:
+    [out[ooff + l] += scale * (c * alpha[m] * f[foff + n] + ...)].
+    Output rows are split into parts of bounded size, each one block
+    scope in which repeated [alpha[m] * f[foff + n]] products are hoisted
+    (CSE). *)
 
 val emit_t2_apply_off : name:string -> Sparse.t2 -> string * stats
 val mult_count_t2 : Sparse.t2 -> int
@@ -43,19 +45,19 @@ val emit_streaming_volume_off :
     place like {!emit_t3_apply_off}; already minimal, so
     [cse_mults = raw_mults]. *)
 
+val dump_dir : Layout.t -> dir:int -> string
+(** A self-contained C translation unit (it includes only
+    [<stddef.h>]) for one direction of any layout, also one the registry
+    does not build: the volume kernel (the streaming form on a
+    configuration direction) with its mult count, the five face kernels
+    (restrict_lo, restrict_hi, face, lift_lo, lift_hi), and one
+    function-pointer table per kernel kind holding each kernel once. *)
+
 val standard_configs : (Dg_basis.Modal.family * int * int * int) list
 (** The (family, poly_order, cdim, vdim) configurations whose kernel
     bundles [lib/genkernels] generates, every direction of each, up to
     the paper's 2X3V p=2 and 3X3V p=1 Serendipity runs; every other
     configuration runs the interpreted sparse path. *)
-
-val emit_face_kernels :
-  Dg_kernels.Tensors.face ->
-  name:(string -> string) ->
-  (string * string * string * stats) list
-(** The five face kernels of a direction in the order the solver runs
-    them (restrict_lo, restrict_hi, face, lift_lo, lift_hi): for each,
-    its bundle field, kernel name ([name kind]), source and stats. *)
 
 val dir_stats : Layout.t -> dir:int -> stats
 (** Hot-path cost of the kernel bundle for one direction of a layout, as
@@ -63,8 +65,11 @@ val dir_stats : Layout.t -> dir:int -> stats
     streaming volume form replaces the generic one on configuration
     directions, and the five face kernels carry the surface term). *)
 
-val registry_payload : unit -> string
-(** The complete generated-kernel module source: a bundle for every
-    direction of every standard configuration, plus the dispatch
-    registry.  Deterministic; [bin/kernel_gen] prints it and the
-    [lib/genkernels] build rule compiles the result. *)
+val registry_sources : unit -> string * string
+(** [(ml, c)]: the generated-kernel sources.  [c] holds every kernel of
+    every direction of every standard configuration, one [static const]
+    function-pointer table per kind (t3, t2, stream) and the C stubs of
+    the externals; [ml] holds those externals, a bundle of kernel ids per
+    direction and [find], the registry keyed by (family, poly_order,
+    cdim, vdim, dir).  Deterministic; [bin/kernel_gen] writes both and
+    the [lib/genkernels] rules compile them. *)

@@ -2,7 +2,10 @@
    generated unrolled kernel (lib/genkernels, the paper's Fig.-1 kernels)
    when one exists for the layout's basis, falling back to the interpreted
    sparse application otherwise.  Selection happens once at solver creation;
-   the hot path pays a single constructor match per tensor application.
+   the hot path pays a single constructor match per tensor application.  A
+   generated kernel is a kernel id: the call goes straight to the external
+   of its kind, which indexes a C table of function pointers, with no
+   closure in between.
 
    The registry is keyed by (family, poly_order, cdim, vdim, dir) and
    holds every direction of every standard configuration
@@ -17,18 +20,21 @@ module Layout = Dg_kernels.Layout
 module Sparse = Dg_kernels.Sparse
 module Tensors = Dg_kernels.Tensors
 
-type t3_op = Gen3 of K.t3_fn | Interp3 of Sparse.t3
-type t2_op = Gen2 of K.t2_fn | Interp2 of Sparse.t2
+type t3_op = Gen3 of int | Interp3 of Sparse.t3
+type t2_op = Gen2 of int | Interp2 of Sparse.t2
 
-let apply_t3 op ~scale (alpha : float array) (f : float array) ~foff
+(* The tensor applications of [face_flux]; Sweep, which cannot inline
+   them from here, has its own pair. *)
+let[@inline] apply_t3 op ~scale (alpha : float array) (f : float array) ~foff
     (out : float array) ~ooff =
   match op with
-  | Gen3 k -> k ~scale alpha f ~foff out ~ooff
+  | Gen3 id -> K.t3 id ~scale alpha f ~foff out ~ooff
   | Interp3 t -> Sparse.apply_t3_off t ~scale alpha f ~foff out ~ooff
 
-let apply_t2 op ~scale (f : float array) ~foff (out : float array) ~ooff =
+let[@inline] apply_t2 op ~scale (f : float array) ~foff (out : float array)
+    ~ooff =
   match op with
-  | Gen2 k -> k ~scale f ~foff out ~ooff
+  | Gen2 id -> K.t2 id ~scale f ~foff out ~ooff
   | Interp2 t -> Sparse.apply_t2_off t ~scale f ~foff out ~ooff
 
 (* All tensor applications of one phase-space direction, pre-dispatched.
@@ -41,7 +47,7 @@ let apply_t2 op ~scale (f : float array) ~foff (out : float array) ~ooff =
 type dir_ops = {
   specialized : bool;
   vol : t3_op;
-  vol_stream : K.stream_fn option;
+  vol_stream : int option; (* a kernel id of K.stream *)
   nface : int; (* face-basis size *)
   restrict_lo : t2_op;
   restrict_hi : t2_op;
@@ -79,7 +85,7 @@ let make ~use_generated (lay : Layout.t) ~dir (dk : Tensors.dir_kernels) =
   | Some b ->
       Dg_obs.Obs.count "dispatch.specialized_dirs" 1;
       (* codegen-pipeline accounting: multiplications the CSE pass removed
-         and part functions the chunker produced for this direction *)
+         and parts (CSE scopes) the chunker produced for this direction *)
       Dg_obs.Obs.count "kernels.cse_saved_mults" (b.K.mults_raw - b.K.mults);
       Dg_obs.Obs.count "kernels.chunks" b.K.chunks;
       {

@@ -3,37 +3,27 @@
     interpreted sparse tensors otherwise.  The registry holds every
     direction of every standard configuration
     ([Dg_codegen.Codegen.standard_configs]).  Selected once per direction
-    at solver creation — the hot path pays a single constructor match. *)
+    at solver creation — the hot path pays a single constructor match,
+    then calls the external of the kernel's kind with its id. *)
 
 module K = Dg_genkernels.Kernels
 module Layout = Dg_kernels.Layout
 module Sparse = Dg_kernels.Sparse
 module Tensors = Dg_kernels.Tensors
 
-type t3_op = Gen3 of K.t3_fn | Interp3 of Sparse.t3
-type t2_op = Gen2 of K.t2_fn | Interp2 of Sparse.t2
+type t3_op = Gen3 of int | Interp3 of Sparse.t3
+(** A 3-tensor application: a kernel id of [K.t3], or interpreted. *)
 
-val apply_t3 :
-  t3_op ->
-  scale:float ->
-  float array ->
-  float array ->
-  foff:int ->
-  float array ->
-  ooff:int ->
-  unit
-(** [apply_t3 op ~scale alpha f ~foff out ~ooff]:
-    [out.(ooff + l) += scale * c * alpha.(m) * f.(foff + n)]. *)
-
-val apply_t2 :
-  t2_op -> scale:float -> float array -> foff:int -> float array -> ooff:int -> unit
+type t2_op = Gen2 of int | Interp2 of Sparse.t2
+(** A 2-tensor application: a kernel id of [K.t2], or interpreted. *)
 
 type dir_ops = {
   specialized : bool;  (** a generated bundle backs this direction *)
   vol : t3_op;
-  vol_stream : K.stream_fn option;
-      (** specialized streaming volume kernel (configuration directions of
-          specialized bundles): takes cell geometry, not a flux expansion *)
+  vol_stream : int option;
+      (** kernel id of the specialized streaming volume kernel
+          ([K.stream]; configuration directions of specialized bundles):
+          takes cell geometry, not a flux expansion *)
   nface : int;  (** face-basis size (scratch length of the face ops) *)
   restrict_lo : t2_op;  (** face <- volume trace at xi_dir = -1 *)
   restrict_hi : t2_op;  (** face <- volume trace at xi_dir = +1 *)
@@ -56,7 +46,7 @@ val make : use_generated:bool -> Layout.t -> dir:int -> Tensors.dir_kernels -> d
     Obs counters (when tracing is enabled): [dispatch.specialized_dirs] /
     [dispatch.interpreted_dirs] per selected direction;
     [kernels.cse_saved_mults] (multiplications the codegen CSE pass
-    removed) and [kernels.chunks] (part functions emitted) per specialized
+    removed) and [kernels.chunks] (kernel parts emitted) per specialized
     direction. *)
 
 val face_flux :

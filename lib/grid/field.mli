@@ -60,9 +60,9 @@ val unsafe_cell_offset : t -> int array -> int
     [Grid.ndim (grid t)] entries with each [c.(d)] in
     [-ghost t d .. cells.(d) + ghost t d - 1].  A phase-space field has no
     velocity ghosts: a velocity coordinate of -1 does not raise here, it
-    silently addresses the neighbouring cell's block.  The generated
-    kernels then access [data t] with [Array.unsafe_get]/[Array.unsafe_set]
-    at literal offsets within the [ncomp]-float block starting here, so
+    silently addresses the neighbouring cell's block.  The generated C
+    kernels then read and write [data t] through unchecked pointers at
+    literal offsets within the [ncomp]-float block starting here, so
     this single per-cell computation is where memory safety is established
     — every in-block index is a compile-time literal [< ncomp].
 

@@ -7,6 +7,8 @@
 module Layout = Dg_kernels.Layout
 module Tensors = Dg_kernels.Tensors
 module Dispatch = Dg_dispatch.Dispatch
+module K = Dg_genkernels.Kernels
+module Sparse = Dg_kernels.Sparse
 module Grid = Dg_grid.Grid
 module Field = Dg_grid.Field
 module Obs = Dg_obs.Obs
@@ -45,6 +47,21 @@ let timers () = { since = 0.0; fill_s = 0.0; volume_s = 0.0; surface_s = 0.0 }
 (* Never written: untraced sweeps only read [since] behind the flag. *)
 let untimed = timers ()
 
+(* The tensor applications of the volume term and the lifts.  Dune's dev
+   profile compiles with -opaque, so no function of another module is
+   inlined here and a Dispatch helper would be a closure call with a boxed
+   [scale]; the sweep matches the op itself and calls the generated
+   kernel's external directly. *)
+let[@inline] apply_t3 (op : Dispatch.t3_op) ~scale alpha f ~foff out ~ooff =
+  match op with
+  | Dispatch.Gen3 id -> K.t3 id ~scale alpha f ~foff out ~ooff
+  | Dispatch.Interp3 t -> Sparse.apply_t3_off t ~scale alpha f ~foff out ~ooff
+
+let[@inline] apply_t2 (op : Dispatch.t2_op) ~scale f ~foff out ~ooff =
+  match op with
+  | Dispatch.Gen2 id -> K.t2 id ~scale f ~foff out ~ooff
+  | Dispatch.Interp2 t -> Sparse.apply_t2_off t ~scale f ~foff out ~ooff
+
 let[@inline] mark tr tm = if tr then tm.since <- Obs.now ()
 let[@inline] lap tm = Obs.now () -. tm.since
 
@@ -82,13 +99,13 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
         (* volume term *)
         mark tr tm;
         (match ops.Dispatch.vol_stream with
-        | Some k ->
+        | Some id ->
             (* vd = dir for configuration directions (Layout pairing) *)
-            k ~wv:vcenter.(dir) ~dv:dvx.(dir) ~rdx2:(2.0 *. rdx) fd ~foff od
-              ~ooff
+            K.stream id ~wv:vcenter.(dir) ~dv:dvx.(dir) ~rdx2:(2.0 *. rdx)
+              fd ~foff od ~ooff
         | None ->
-            Dispatch.apply_t3 ops.Dispatch.vol ~scale:(2.0 *. rdx) alpha fd
-              ~foff od ~ooff);
+            apply_t3 ops.Dispatch.vol ~scale:(2.0 *. rdx) alpha fd ~foff od
+              ~ooff);
         (match d.volume with Some h -> h ctx fd ~foff od ~ooff | None -> ());
         if tr then tm.volume_s <- tm.volume_s +. lap tm;
         (* lower face of cell [c]: L = c - e_dir (possibly ghost), R = c;
@@ -110,17 +127,15 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
           (* update the left cell unless it is a ghost *)
           if cl.(dir) >= 0 then begin
             let ooff_l = Field.unsafe_cell_offset out cl in
-            Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof
-              od ~ooff:ooff_l;
-            Dispatch.apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od
-              ~ooff;
+            apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof od
+              ~ooff:ooff_l;
+            apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od ~ooff;
             match d.face with
             | Some h -> h ctx fd ~foff_l ~foff_r:foff od ~ooff_l ~ooff_r:ooff
             | None -> ()
           end
           else
-            Dispatch.apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od
-              ~ooff;
+            apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od ~ooff;
           if tr then tm.surface_s <- tm.surface_s +. lap tm
         end;
         (* upper boundary face (configuration directions only; ghost
@@ -132,8 +147,7 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
           let lam = d.speed vcenter alpha in
           Dispatch.face_flux ops ~rdx ~lam alpha fd ~foff_l:foff
             ~foff_r:(Field.unsafe_cell_offset f cl) face;
-          Dispatch.apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof od
-            ~ooff;
+          apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof od ~ooff;
           if tr then tm.surface_s <- tm.surface_s +. lap tm
         end;
         (* velocity-domain boundary faces *)

@@ -1,10 +1,11 @@
-(* The generated unrolled kernels must agree with the interpreted sparse
-   tensors exactly (same entries, different execution strategy) for every
+(* The generated unrolled C kernels must agree with the interpreted sparse
+   tensors (same entries, different execution strategy) for every
    direction the registry holds, the registry must hold every direction of
    every standard configuration, and the emitted source must be
-   well-formed.  lib/genkernels is built from
-   the emitter at build time, so these checks on the compiled registry are
-   what guard the emitter. *)
+   well-formed also for layouts the registry does not build.
+   lib/genkernels is built from the emitter at build time, so these checks
+   on the compiled registry are what guard the emitter; test_dispatch pins
+   its results bit for bit. *)
 
 module Layout = Dg_kernels.Layout
 module Modal = Dg_basis.Modal
@@ -49,7 +50,7 @@ let check_streaming ~cdim ~vdim ~family ~p ~dir =
   let b = bundle ~cdim ~vdim ~family ~p ~dir in
   let gen =
     match b.Gen.vol_stream with
-    | Some k -> k
+    | Some id -> id
     | None -> Alcotest.failf "config dir %d bundle lacks vol_stream" dir
   in
   let rng = Random.State.make [| 17 |] in
@@ -62,7 +63,7 @@ let check_streaming ~cdim ~vdim ~family ~p ~dir =
     Flux.streaming_alpha lay ~dir ~vcenter:wv ~dv ~support alpha;
     let out_ref = Array.make np 0.0 and out_gen = Array.make np 0.0 in
     Sparse.apply_t3 vol ~scale:rdx2 alpha f out_ref;
-    gen ~wv ~dv ~rdx2 f ~foff:0 out_gen ~ooff:0;
+    Gen.stream gen ~wv ~dv ~rdx2 f ~foff:0 out_gen ~ooff:0;
     check_arrays "streaming kernel" out_gen out_ref
   done
 
@@ -79,7 +80,7 @@ let check_accel ~cdim ~vdim ~family ~p ~dir =
     let scale = Random.State.float rng 3.0 in
     let out_ref = Array.make np 0.0 and out_gen = Array.make np 0.0 in
     Sparse.apply_t3 vol ~scale alpha f out_ref;
-    gen ~scale alpha f ~foff:0 out_gen ~ooff:0;
+    Gen.t3 gen ~scale alpha f ~foff:0 out_gen ~ooff:0;
     check_arrays "accel kernel" out_gen out_ref
   done
 
@@ -97,13 +98,13 @@ let check_faces ~cdim ~vdim ~family ~p ~dir =
   let out () = Array.make (4 * np) 0.0 in
   let out_ref = out () and out_gen = out () in
   Sparse.apply_t3_off fc.Tensors.triple ~scale:0.7 alpha f ~foff out_ref ~ooff;
-  b.Gen.face ~scale:0.7 alpha f ~foff out_gen ~ooff;
+  Gen.t3 b.Gen.face ~scale:0.7 alpha f ~foff out_gen ~ooff;
   check_arrays "face" out_gen out_ref;
   List.iter
     (fun (name, gen, interp) ->
       let out_ref = out () and out_gen = out () in
       Sparse.apply_t2_off interp ~scale:(-1.3) f ~foff out_ref ~ooff;
-      gen ~scale:(-1.3) f ~foff out_gen ~ooff;
+      Gen.t2 gen ~scale:(-1.3) f ~foff out_gen ~ooff;
       check_arrays name out_gen out_ref)
     [
       ("restrict_lo", b.Gen.restrict_lo, fc.Tensors.restrict_lo);
@@ -189,21 +190,76 @@ let test_mult_counts () =
   if total > 150 then
     Alcotest.failf "modal volume mults %d larger than expected O(100)" total
 
-(* Emitted source is syntactically plausible: balanced parens, float
-   literals only. *)
+(* The emitter on layouts the registry does not build (maximal-order, and
+   p=3): every dumped translation unit has balanced brackets of all kinds,
+   and each kernel it defines has exactly one entry in the table of its
+   kind, at the id its position gives.  bin/dune compiles one such dump
+   with the C compiler. *)
+let is_ident c =
+  (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_'
+
+let check_dump ~what src =
+  List.iter
+    (fun (o, c) ->
+      let depth = ref 0 in
+      String.iter
+        (fun ch ->
+          if ch = o then incr depth else if ch = c then decr depth;
+          if !depth < 0 then Alcotest.failf "%s: unbalanced %c%c" what o c)
+        src;
+      if !depth <> 0 then Alcotest.failf "%s: unbalanced %c%c" what o c)
+    [ ('{', '}'); ('(', ')'); ('[', ']') ];
+  let lines = String.split_on_char '\n' src in
+  let defined =
+    List.filter_map
+      (fun l ->
+        let pre = "static void " in
+        let n = String.length pre in
+        if String.starts_with ~prefix:pre l then
+          let rest = String.sub l n (String.length l - n) in
+          Some (String.sub rest 0 (String.index rest '('))
+        else None)
+      lines
+  in
+  (* table entries are "  NAME, /* ID */"; ids restart at each table *)
+  let entries = ref [] and next_id = ref 0 in
+  List.iter
+    (fun l ->
+      if String.ends_with ~suffix:"[] = {" l then next_id := 0
+      else
+        match String.index_opt l ',' with
+        | Some k
+          when String.starts_with ~prefix:"  " l
+               && String.ends_with ~suffix:" */" l
+               && String.for_all is_ident (String.sub l 2 (k - 2)) ->
+            let name = String.sub l 2 (k - 2) in
+            let id = String.sub l (k + 5) (String.length l - k - 8) in
+            Alcotest.(check string)
+              (Printf.sprintf "%s: id of %s" what name)
+              (string_of_int !next_id) id;
+            incr next_id;
+            entries := name :: !entries
+        | _ -> ())
+    lines;
+  if defined = [] then Alcotest.failf "%s: no kernel emitted" what;
+  Alcotest.(check (list string))
+    (what ^ ": one table entry per emitted kernel")
+    (List.sort compare defined)
+    (List.sort compare !entries)
+
 let test_source_sanity () =
-  let lay = layout ~cdim:1 ~vdim:2 ~family:Modal.Tensor ~p:1 in
-  let src, _ = Codegen.emit_streaming_volume_off lay ~dir:0 ~name:"k" in
-  let depth = ref 0 in
-  String.iter
-    (fun c ->
-      if c = '(' then incr depth else if c = ')' then decr depth;
-      if !depth < 0 then Alcotest.fail "unbalanced parens")
-    src;
-  Alcotest.(check int) "balanced" 0 !depth;
-  (* every numeric literal must parse as a float *)
-  Alcotest.(check bool) "has header" true
-    (String.length src > 0 && String.get src 0 = '(')
+  List.iter
+    (fun (family, p, cdim, vdim) ->
+      let lay = layout ~cdim ~vdim ~family ~p in
+      for dir = 0 to cdim + vdim - 1 do
+        check_dump
+          ~what:
+            (Printf.sprintf "%dx%dv p=%d %s dir %d" cdim vdim p
+               (Modal.family_name family) dir)
+          (Codegen.dump_dir lay ~dir)
+      done)
+    [ (Modal.Maximal_order, 1, 1, 2); (Modal.Maximal_order, 2, 2, 2);
+      (Modal.Serendipity, 3, 1, 1) ]
 
 let () =
   Alcotest.run "dg_codegen"

@@ -93,6 +93,63 @@ let test_all_registry_configs () =
     (fun (family, p, cdim, vdim) -> check_config ~family ~p ~cdim ~vdim)
     Codegen.standard_configs
 
+(* Every generated kernel pinned bit for bit: one seeded upwind rhs per
+   standard configuration, over random f with random E and B, so every
+   kernel of every bundle (streaming and generic volume, restrictions,
+   face triple, lifts) reaches the digest.  Rtol-level agreement with the
+   interpreted path (above) cannot see a reordered sum; these can.  The
+   digests were taken from the OCaml kernels, before the C ones, built
+   with ocamlopt's default register allocator: built with -linscan, the
+   2X3V p=1 Serendipity acceleration volume kernels computed a few rows
+   differently from their own source, in the last bits (digest
+   9307a3198cf218ff181c998ff490ff5f); C at any -O level and the
+   default-allocator OCaml agree on 4a303a66. *)
+let rhs_digest ~family ~p ~cdim ~vdim =
+  let lay = make_layout ~family ~p ~cdim ~vdim in
+  let s = Solver.create ~use_kernels:true ~qm:(-2.0) lay in
+  let f = random_f ~seed:(100 + (10 * cdim) + vdim) lay in
+  let em = random_em ~seed:(200 + p) lay in
+  let out = phase_field lay ~ncomp:(Layout.num_basis lay) in
+  Solver.rhs s ~f ~em:(Some em) ~out;
+  let b = Buffer.create 4096 in
+  Grid.iter_cells lay.Layout.grid (fun _ c ->
+      for k = 0 to Field.ncomp out - 1 do
+        Buffer.add_int64_le b (Int64.bits_of_float (Field.get out c k))
+      done);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_rhs_digests =
+  [
+    ("1x1v p=1 serendipity", "c64d5dbb3a1df45ae6b0973b1165483a");
+    ("1x1v p=2 serendipity", "ff3f2f84e84f5d19cac6bd460db97973");
+    ("1x2v p=1 serendipity", "fa82c2e9419b45870cff7efd4e1a9f33");
+    ("1x2v p=2 serendipity", "84b6d15e6a6f93f54a516a9c2c65fd38");
+    ("2x2v p=1 serendipity", "27803536c92920e76e5a153e56a374dd");
+    ("2x2v p=2 serendipity", "2481c2caece4dc1427a1dc485a9604a8");
+    ("2x3v p=1 serendipity", "4a303a66f2ef3c82ca174b4e4227d19c");
+    ("2x3v p=2 serendipity", "4074befa191b8b758c7701daf6483170");
+    ("3x3v p=1 serendipity", "4693e2ebf5b925cdc3171a7b5670e41d");
+    ("1x1v p=1 tensor", "c64d5dbb3a1df45ae6b0973b1165483a");
+    ("1x1v p=2 tensor", "568c892c437c548a02fac8a1a7d010c7");
+    ("1x2v p=1 tensor", "fa82c2e9419b45870cff7efd4e1a9f33");
+    ("1x2v p=2 tensor", "cf337e3cfe16d66dde98fa57cd3c0b56");
+    ("2x2v p=1 tensor", "27803536c92920e76e5a153e56a374dd");
+    ("2x2v p=2 tensor", "b8562f4c0dc981678c799d46f82f56fb");
+  ]
+
+let test_rhs_digests () =
+  List.iter
+    (fun (family, p, cdim, vdim) ->
+      let tag =
+        Printf.sprintf "%dx%dv p=%d %s" cdim vdim p (Modal.family_name family)
+      in
+      let got = rhs_digest ~family ~p ~cdim ~vdim in
+      match List.assoc_opt tag pinned_rhs_digests with
+      | Some want when want = got -> ()
+      | Some want -> Alcotest.failf "%s: rhs digest %s, pinned %s" tag got want
+      | None -> Alcotest.failf "%s: no pinned digest (got %s)" tag got)
+    Codegen.standard_configs
+
 (* A configuration the registry does not cover must fall back to the
    interpreted path with no behavioural difference. *)
 let test_fallback_config () =
@@ -284,14 +341,15 @@ let test_zero_copy_bitwise () =
         | Some b ->
             let out_off = Array.make (foff + np) 0.0 in
             let out_blk = Array.make np 0.0 in
-            b.Gen.vol ~scale:0.9 alpha fd ~foff out_off ~ooff:foff;
-            b.Gen.vol ~scale:0.9 alpha fblock ~foff:0 out_blk ~ooff:0;
-            b.Gen.restrict_lo ~scale:(-1.3) fd ~foff out_off ~ooff:foff;
-            b.Gen.restrict_lo ~scale:(-1.3) fblock ~foff:0 out_blk ~ooff:0;
-            b.Gen.face ~scale:0.7 alpha fd ~foff out_off ~ooff:foff;
-            b.Gen.face ~scale:0.7 alpha fblock ~foff:0 out_blk ~ooff:0;
-            b.Gen.lift_hi ~scale:0.4 fd ~foff out_off ~ooff:foff;
-            b.Gen.lift_hi ~scale:0.4 fblock ~foff:0 out_blk ~ooff:0;
+            Gen.t3 b.Gen.vol ~scale:0.9 alpha fd ~foff out_off ~ooff:foff;
+            Gen.t3 b.Gen.vol ~scale:0.9 alpha fblock ~foff:0 out_blk ~ooff:0;
+            Gen.t2 b.Gen.restrict_lo ~scale:(-1.3) fd ~foff out_off ~ooff:foff;
+            Gen.t2 b.Gen.restrict_lo ~scale:(-1.3) fblock ~foff:0 out_blk
+              ~ooff:0;
+            Gen.t3 b.Gen.face ~scale:0.7 alpha fd ~foff out_off ~ooff:foff;
+            Gen.t3 b.Gen.face ~scale:0.7 alpha fblock ~foff:0 out_blk ~ooff:0;
+            Gen.t2 b.Gen.lift_hi ~scale:0.4 fd ~foff out_off ~ooff:foff;
+            Gen.t2 b.Gen.lift_hi ~scale:0.4 fblock ~foff:0 out_blk ~ooff:0;
             for k = 0 to np - 1 do
               let a = out_off.(foff + k) and bv = out_blk.(k) in
               if Int64.bits_of_float a <> Int64.bits_of_float bv then
@@ -362,6 +420,7 @@ let () =
         [
           Alcotest.test_case "dispatched rhs == interpreted (all configs)"
             `Quick test_all_registry_configs;
+          Alcotest.test_case "generated rhs digests" `Quick test_rhs_digests;
           Alcotest.test_case "unsupported config falls back" `Quick
             test_fallback_config;
           Alcotest.test_case "specialized_dirs reporting" `Quick
