@@ -527,16 +527,20 @@ let ablation () =
         done)
     /. float_of_int n_inner
   in
-  let b12p2 =
-    Option.get
-      (Dg_genkernels.Kernels.find ~family:"serendipity" ~poly_order:2 ~cdim:1
-         ~vdim:2 ~dir:1)
+  let module Gen = Dg_genkernels.Kernels in
+  let vol_id =
+    match
+      (Option.get
+         (Gen.find ~family:"serendipity" ~poly_order:2 ~cdim:1 ~vdim:2 ~dir:1))
+        .Gen.vol
+    with
+    | Gen.Alpha id -> id
+    | Gen.Stream _ -> invalid_arg "ablation: dir 1 is a velocity direction"
   in
   let t_gen =
     time_per_call (fun () ->
         for _ = 1 to n_inner do
-          Dg_genkernels.Kernels.t3 b12p2.Dg_genkernels.Kernels.vol ~scale:1.0
-            alpha f ~foff:0 out ~ooff:0
+          Gen.t3 vol_id ~scale:1.0 alpha f ~foff:0 out ~ooff:0
         done)
     /. float_of_int n_inner
   in

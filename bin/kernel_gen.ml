@@ -3,9 +3,10 @@
    the C kernels with their id-indexed tables and the OCaml stubs, and the
    OCaml module that names each direction's kernel ids.  lib/genkernels/dune
    runs it at build time (the outputs are readable afterwards under
-   _build/default/lib/genkernels/), compiles both into dg_genkernels, which
-   Dg_dispatch.Dispatch routes into the solver hot path; the test suite
-   cross-checks the kernels against the interpreted sparse tensors.
+   _build/default/lib/genkernels/) and compiles both into dg_genkernels,
+   whose kernels Dg_vlasov.Sweep selects and calls on the solver hot path;
+   the test suite cross-checks the kernels against the interpreted sparse
+   tensors.
 
    Usage: kernel_gen KERNELS.ml KERNELS.c *)
 

@@ -116,12 +116,10 @@ let info_cmd =
       for dir = 0 to cdim + vdim - 1 do
         let k = Dg.Tensors.make_dir lay ~dir in
         let fc = k.Dg.Tensors.face in
-        (* what this build runs: the registry holds every direction of
-           the standard configurations *)
+        (* what this build runs: the selection Solver.create makes *)
         let path =
-          match Dg_dispatch.Dispatch.find_bundle lay ~dir with
-          | Some b ->
-              Printf.sprintf "generated (%d mults)" b.Dg_genkernels.Kernels.mults
+          match (Dg_vlasov.Sweep.select ~use_generated:true lay k).mults with
+          | Some mults -> Printf.sprintf "generated (%d mults)" mults
           | None -> "interpreted"
         in
         Fmt.pr

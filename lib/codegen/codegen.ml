@@ -229,16 +229,11 @@ let rows_of_t2 (t : Sparse.t2) =
     t.Sparse.vv;
   List.sort compare (Hashtbl.fold (fun r terms acc -> (r, List.rev terms) :: acc) tbl [])
 
-let mult_count_t2 (t : Sparse.t2) =
-  List.fold_left
-    (fun acc (_, terms) -> acc + 1 + List.length terms)
-    0 (rows_of_t2 t)
-
 (* t2 terms are single products [v * f[c]]: no shared alpha*f pairs to
-   eliminate, so the pass is plain unrolling. *)
+   eliminate, so the pass is plain unrolling and [cse_mults = raw_mults]. *)
 let emit_t2_apply_off ~name (t : Sparse.t2) =
   let body = Buffer.create 2048 in
-  let cse_mults = ref 0 in
+  let mults = ref 0 in
   let emit_part buf rows =
     List.iter
       (fun (r, terms) ->
@@ -248,10 +243,10 @@ let emit_t2_apply_off ~name (t : Sparse.t2) =
           (fun i (c, v) ->
             if i > 0 then Buffer.add_string b " + ";
             Buffer.add_string b (Printf.sprintf "%s * %s" (lit v) (fg c));
-            incr cse_mults)
+            incr mults)
           terms;
         Buffer.add_string b ")";
-        incr cse_mults;
+        incr mults;
         out_update buf r (Buffer.contents b))
       rows
   in
@@ -260,7 +255,7 @@ let emit_t2_apply_off ~name (t : Sparse.t2) =
       ~row_cost:(fun (_, terms) -> 1 + List.length terms)
       ~emit_part (rows_of_t2 t) body
   in
-  let st = { raw_mults = mult_count_t2 t; cse_mults = !cse_mults; chunks } in
+  let st = { raw_mults = !mults; cse_mults = !mults; chunks } in
   (kernel_comment name st ^ Buffer.contents body, st)
 
 (* Specialized streaming-volume kernel (cf. paper Fig. 1).  The flux
@@ -490,33 +485,26 @@ let basis_signature basis =
                  (Dg_util.Multi_index.to_array (Dg_basis.Modal.index basis k))))))
 
 (* Emit the kernels of one (layout, dir) into [tu]; returns the OCaml
-   bundle record naming their ids, and the hot-path stats.  Stats count
-   only the kernels the dispatcher actually runs (the streaming volume
-   form is preferred over the generic one on configuration directions). *)
+   bundle record naming their ids, and the hot-path stats.  The volume
+   kernel is the one the sweep runs: the streaming form on configuration
+   directions, the generic alpha-based one on velocity directions. *)
 let emit_dir_bundle tu (lay : Layout.t) ~dir ~tag =
   let dk = Tensors.make_dir lay ~dir in
   let n kind = Printf.sprintf "%s_%s_d%d" kind tag dir in
   let raw = ref 0 and cse = ref 0 and chunks = ref 0 in
-  let add ?(counted = true) kind name (src, (st : stats)) =
-    if counted then begin
-      raw := !raw + st.raw_mults;
-      cse := !cse + st.cse_mults;
-      chunks := !chunks + st.chunks
-    end;
+  let add kind name (src, (st : stats)) =
+    raw := !raw + st.raw_mults;
+    cse := !cse + st.cse_mults;
+    chunks := !chunks + st.chunks;
     add_kernel tu kind ~name src
   in
-  let stream = Layout.is_config_dir lay dir in
-  let vol_stream =
-    if stream then
-      Some
-        (add Stream (n "vs") (emit_streaming_volume_off lay ~dir ~name:(n "vs")))
-    else None
-  in
-  (* generic alpha-based volume kernel: counted only when no specialized
-     streaming form exists (the dispatcher prefers the streaming form) *)
   let vol =
-    add ~counted:(not stream) T3 (n "vol")
-      (emit_t3_apply_off ~name:(n "vol") dk.Tensors.vol)
+    if Layout.is_config_dir lay dir then
+      Printf.sprintf "Stream %d"
+        (add Stream (n "vs") (emit_streaming_volume_off lay ~dir ~name:(n "vs")))
+    else
+      Printf.sprintf "Alpha %d"
+        (add T3 (n "vol") (emit_t3_apply_off ~name:(n "vol") dk.Tensors.vol))
   in
   let faces =
     List.map
@@ -526,13 +514,9 @@ let emit_dir_bundle tu (lay : Layout.t) ~dir ~tag =
   in
   let record =
     Printf.sprintf
-      "let b_%s_d%d : bundle = { vol = %d; vol_stream = %s; %s; mults = %d; \
-       mults_raw = %d; chunks = %d }\n"
-      tag dir vol
-      (match vol_stream with
-      | Some id -> Printf.sprintf "Some %d" id
-      | None -> "None")
-      (String.concat "; " faces) !cse !raw !chunks
+      "let b_%s_d%d : bundle = { vol = %s; %s; mults = %d; mults_raw = %d; \
+       chunks = %d }\n"
+      tag dir vol (String.concat "; " faces) !cse !raw !chunks
   in
   (record, { raw_mults = !raw; cse_mults = !cse; chunks = !chunks })
 
@@ -590,11 +574,15 @@ external stream :
   unit = "dg_gen_stream_byte" "dg_gen_stream"
 [@@noalloc]
 
+(* The volume kernel of a direction: a kernel id of [stream] (the
+   specialized streaming form of a configuration direction, which takes
+   cell geometry) or of [t3] (applied to the flux expansion alpha). *)
+type vol = Stream of int | Alpha of int
+
 (* One direction's kernel ids (into the t3, t2 and stream tables) and
    its mult counts. *)
 type bundle = {
-  vol : int;
-  vol_stream : int option;
+  vol : vol;
   restrict_lo : int;
   restrict_hi : int;
   face : int;

@@ -12,7 +12,7 @@ module Sparse = Dg_kernels.Sparse
 
 val mult_count_t3 : Sparse.t3 -> int
 (** Multiplications in the plain unrolled form of a 3-tensor application
-    (before CSE) — the [raw_mults] of {!emit_t3_apply_off}. *)
+    (before CSE), the [raw_mults] of its emitted kernel. *)
 
 val nodal_mult_estimate : Layout.t -> int
 (** Multiplication estimate for the equivalent alias-free nodal
@@ -27,23 +27,14 @@ type stats = {
 (** Cost accounting for an emitted offset kernel; surfaces in the
     per-kernel header comment and the registry bundle metadata. *)
 
-val emit_t3_apply_off : name:string -> Sparse.t3 -> string * stats
-(** The C function [name] applying a 3-tensor in place on flat storage:
-    [out[ooff + l] += scale * (c * alpha[m] * f[foff + n] + ...)].
-    Output rows are split into parts of bounded size, each one block
-    scope in which repeated [alpha[m] * f[foff + n]] products are hoisted
-    (CSE). *)
-
-val emit_t2_apply_off : name:string -> Sparse.t2 -> string * stats
-val mult_count_t2 : Sparse.t2 -> int
-
 val emit_streaming_volume_off :
   Layout.t -> dir:int -> name:string -> string * stats
 (** The specialized Fig.-1-style streaming volume kernel: the
     two-coefficient flux expansion is folded in, so it takes the
-    velocity-cell center [wv] and width [dv] instead of [alpha].  Runs in
-    place like {!emit_t3_apply_off}; already minimal, so
-    [cse_mults = raw_mults]. *)
+    velocity-cell center [wv] and width [dv] instead of [alpha], and
+    runs in place on flat storage:
+    [out[ooff + l] += rdx2 * (wv * (...) + dv * (...))] over
+    [f[foff + n]].  Already minimal, so [cse_mults = raw_mults]. *)
 
 val dump_dir : Layout.t -> dir:int -> string
 (** A self-contained C translation unit (it includes only
@@ -61,9 +52,10 @@ val standard_configs : (Dg_basis.Modal.family * int * int * int) list
 
 val dir_stats : Layout.t -> dir:int -> stats
 (** Hot-path cost of the kernel bundle for one direction of a layout, as
-    the registry emits it: summed over the kernels dispatch runs (the
-    streaming volume form replaces the generic one on configuration
-    directions, and the five face kernels carry the surface term). *)
+    the registry emits it: summed over its volume kernel (the streaming
+    form on a configuration direction, the generic alpha-based one on a
+    velocity direction) and the five face kernels of the surface term.
+    The bundle holds no other kernel. *)
 
 val registry_sources : unit -> string * string
 (** [(ml, c)]: the generated-kernel sources.  [c] holds every kernel of

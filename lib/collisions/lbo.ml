@@ -35,7 +35,6 @@ module Tensors = Dg_kernels.Tensors
 module Sparse = Dg_kernels.Sparse
 module Flux = Dg_kernels.Flux
 module Recovery = Dg_kernels.Recovery
-module Dispatch = Dg_dispatch.Dispatch
 module Sweep = Dg_vlasov.Sweep
 module Modal = Dg_basis.Modal
 module Mi = Dg_util.Multi_index
@@ -170,7 +169,7 @@ let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
   in
   {
     Sweep.dir;
-    ops = Dispatch.interpreted dk;
+    ops = Sweep.interpreted dk;
     fill;
     speed;
     face_alpha = Some face_alpha;

@@ -4,7 +4,7 @@
    grid: streaming volume+surface terms in configuration directions, and
    acceleration q/m (E + v x B) volume+surface terms in velocity directions.
    All coupling tensors are precomputed exactly (dg_kernels.Tensors) and
-   each per-direction application is routed through Dg_dispatch.Dispatch:
+   each per-direction application is selected once by Sweep.select:
    generated unrolled kernels (lib/genkernels — the paper's Fig. 1 kernels)
    when the registry covers the direction, the interpreted sparse loops
    otherwise.
@@ -32,7 +32,6 @@
 module Layout = Dg_kernels.Layout
 module Tensors = Dg_kernels.Tensors
 module Flux = Dg_kernels.Flux
-module Dispatch = Dg_dispatch.Dispatch
 module Grid = Dg_grid.Grid
 module Field = Dg_grid.Field
 module Obs = Dg_obs.Obs
@@ -143,7 +142,7 @@ let create ?(flux = Upwind) ?(use_kernels = true) ~qm (lay : Layout.t) =
     Array.map
       (fun dk ->
         sweep_dir lay ~flux ~accel dk
-          (Dispatch.make ~use_generated:use_kernels lay ~dir:dk.Tensors.dir dk))
+          (Sweep.select ~use_generated:use_kernels lay dk))
       (make_dirs lay)
   in
   {
@@ -160,7 +159,7 @@ let qm t = t.qm
 let num_basis t = Layout.num_basis t.lay
 let flux_kind t = t.flux
 let specialized_dirs t =
-  Array.map (fun d -> d.Sweep.ops.Dispatch.specialized) t.sweep
+  Array.map (fun d -> Option.is_some d.Sweep.ops.Sweep.mults) t.sweep
 
 (* File a traced sweep's phase times and counters under the caller's
    current span.  Every cell fills the flux expansion once per active
@@ -177,12 +176,11 @@ let file_sweep t ~ncells ~(em : Field.t option) (tm : Sweep.timers) =
   Obs.count "rhs.fill_alpha" n_fill;
   for dir = 0 to pdim - 1 do
     if dir < cdim || em <> None then
-      let ops = t.sweep.(dir).Sweep.ops in
-      if ops.Dispatch.specialized then begin
-        Obs.count "rhs.celldirs_generated" ncells;
-        Obs.count "rhs.mults_generated" (ncells * ops.Dispatch.mults)
-      end
-      else Obs.count "rhs.celldirs_interpreted" ncells
+      match t.sweep.(dir).Sweep.ops.Sweep.mults with
+      | Some mults ->
+          Obs.count "rhs.celldirs_generated" ncells;
+          Obs.count "rhs.mults_generated" (ncells * mults)
+      | None -> Obs.count "rhs.celldirs_interpreted" ncells
   done
 
 (* Full DG right-hand side: out := volume + surface contributions, one

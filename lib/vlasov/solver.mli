@@ -5,9 +5,9 @@
     streaming volume+surface terms in configuration directions and
     acceleration (q/m)(E + v x B) terms in velocity directions, as
     sequences of exact tensor applications.  Each per-direction
-    application is dispatched once at creation: generated unrolled
-    kernels (lib/genkernels) when the registry covers the basis, the
-    interpreted sparse tensors otherwise.  Velocity-space boundaries are
+    application is selected once at creation ({!Sweep.select}): generated
+    unrolled kernels (lib/genkernels) when the registry covers the basis,
+    the interpreted sparse tensors otherwise.  Velocity-space boundaries are
     zero-flux (conserving particle number exactly); configuration-space
     ghosts must be synchronized by the caller.
 

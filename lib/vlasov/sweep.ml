@@ -1,21 +1,88 @@
-(* The one hyperbolic DG sweep (interface docs in sweep.mli).  Each face
-   is visited once, from the cell above it: the lower cell's trace is
-   restricted, one flux G is formed on the face basis, and out_L -= L_hi G,
-   out_R += L_lo G.  The body reads only per-direction data, so it never
-   asks which operator it serves, and keeps all scratch per call. *)
+(* The one hyperbolic DG sweep and the kernel selection it runs on
+   (interface docs in sweep.mli).  Each face is visited once, from the
+   cell above it: the lower cell's trace is restricted, one flux G is
+   formed on the face basis, and out_L -= L_hi G, out_R += L_lo G.  The
+   body reads only per-direction data, so it never asks which operator it
+   serves, and keeps all scratch per call.  The tensor-application
+   helpers and the face flux sit beside the sweep so that ocamlopt
+   inlines them into it (dune's dev profile compiles with -opaque, which
+   stops inlining across modules): a generated kernel is called through
+   the external of its kind, with no closure call and no boxed float. *)
 
 module Layout = Dg_kernels.Layout
 module Tensors = Dg_kernels.Tensors
-module Dispatch = Dg_dispatch.Dispatch
 module K = Dg_genkernels.Kernels
 module Sparse = Dg_kernels.Sparse
+module Modal = Dg_basis.Modal
 module Grid = Dg_grid.Grid
 module Field = Dg_grid.Field
 module Obs = Dg_obs.Obs
 
+type t3_op = Gen3 of int | Interp3 of Sparse.t3
+type t2_op = Gen2 of int | Interp2 of Sparse.t2
+type vol_op = Stream of int | Alpha of t3_op
+
+type ops = {
+  vol : vol_op;
+  nface : int;
+  restrict_lo : t2_op;
+  restrict_hi : t2_op;
+  face : t3_op;
+  lift_lo : t2_op;
+  lift_hi : t2_op;
+  mults : int option;
+}
+
+let interpreted (dk : Tensors.dir_kernels) =
+  let fc = dk.Tensors.face in
+  {
+    vol = Alpha (Interp3 dk.Tensors.vol);
+    nface = fc.Tensors.nface;
+    restrict_lo = Interp2 fc.Tensors.restrict_lo;
+    restrict_hi = Interp2 fc.Tensors.restrict_hi;
+    face = Interp3 fc.Tensors.triple;
+    lift_lo = Interp2 fc.Tensors.lift_lo;
+    lift_hi = Interp2 fc.Tensors.lift_hi;
+    mults = None;
+  }
+
+let select ~use_generated (lay : Layout.t) (dk : Tensors.dir_kernels) =
+  let basis = lay.Layout.basis in
+  let bundle =
+    if use_generated then
+      K.find
+        ~family:(Modal.family_name (Modal.family basis))
+        ~poly_order:(Modal.poly_order basis) ~cdim:lay.Layout.cdim
+        ~vdim:lay.Layout.vdim ~dir:dk.Tensors.dir
+    else None
+  in
+  match bundle with
+  | Some b ->
+      Obs.count "dispatch.specialized_dirs" 1;
+      (* codegen-pipeline accounting: multiplications the CSE pass removed
+         and parts (CSE scopes) the chunker produced for this direction *)
+      Obs.count "kernels.cse_saved_mults" (b.K.mults_raw - b.K.mults);
+      Obs.count "kernels.chunks" b.K.chunks;
+      {
+        vol =
+          (match b.K.vol with
+          | K.Stream id -> Stream id
+          | K.Alpha id -> Alpha (Gen3 id));
+        nface = dk.Tensors.face.Tensors.nface;
+        restrict_lo = Gen2 b.K.restrict_lo;
+        restrict_hi = Gen2 b.K.restrict_hi;
+        face = Gen3 b.K.face;
+        lift_lo = Gen2 b.K.lift_lo;
+        lift_hi = Gen2 b.K.lift_hi;
+        mults = Some b.K.mults;
+      }
+  | None ->
+      Obs.count "dispatch.interpreted_dirs" 1;
+      interpreted dk
+
 type 'a dir = {
   dir : int;
-  ops : Dispatch.dir_ops;
+  ops : ops;
   fill : 'a -> int array -> float array -> float array -> unit;
   speed : float array -> float array -> float;
   face_alpha : (float array -> float array -> unit) option;
@@ -47,20 +114,39 @@ let timers () = { since = 0.0; fill_s = 0.0; volume_s = 0.0; surface_s = 0.0 }
 (* Never written: untraced sweeps only read [since] behind the flag. *)
 let untimed = timers ()
 
-(* The tensor applications of the volume term and the lifts.  Dune's dev
-   profile compiles with -opaque, so no function of another module is
-   inlined here and a Dispatch helper would be a closure call with a boxed
-   [scale]; the sweep matches the op itself and calls the generated
-   kernel's external directly. *)
-let[@inline] apply_t3 (op : Dispatch.t3_op) ~scale alpha f ~foff out ~ooff =
+let[@inline] apply_t3 op ~scale alpha f ~foff out ~ooff =
   match op with
-  | Dispatch.Gen3 id -> K.t3 id ~scale alpha f ~foff out ~ooff
-  | Dispatch.Interp3 t -> Sparse.apply_t3_off t ~scale alpha f ~foff out ~ooff
+  | Gen3 id -> K.t3 id ~scale alpha f ~foff out ~ooff
+  | Interp3 t -> Sparse.apply_t3_off t ~scale alpha f ~foff out ~ooff
 
-let[@inline] apply_t2 (op : Dispatch.t2_op) ~scale f ~foff out ~ooff =
+let[@inline] apply_t2 op ~scale f ~foff out ~ooff =
   match op with
-  | Dispatch.Gen2 id -> K.t2 id ~scale f ~foff out ~ooff
-  | Dispatch.Interp2 t -> Sparse.apply_t2_off t ~scale f ~foff out ~ooff
+  | Gen2 id -> K.t2 id ~scale f ~foff out ~ooff
+  | Interp2 t -> Sparse.apply_t2_off t ~scale f ~foff out ~ooff
+
+(* The flux of one face in face form (Tensors.face), written to
+   [face.(2 nf ..)]: with a = R_hi f_L and b = R_lo f_R the face traces,
+     S = a + b,   J = b - a,   G = rdx (F alpha S) - lam rdx J.
+   [face] is the sweep's face scratch: traces, then S and J in place,
+   then G.  Allocates nothing. *)
+let[@inline] face_flux ops ~rdx ~lam alpha fd ~foff_l ~foff_r face =
+  let nf = ops.nface in
+  Array.fill face 0 (3 * nf) 0.0;
+  apply_t2 ops.restrict_hi ~scale:1.0 fd ~foff:foff_l face ~ooff:0;
+  apply_t2 ops.restrict_lo ~scale:1.0 fd ~foff:foff_r face ~ooff:nf;
+  for k = 0 to nf - 1 do
+    let a = Array.unsafe_get face k and b = Array.unsafe_get face (nf + k) in
+    Array.unsafe_set face k (a +. b);
+    Array.unsafe_set face (nf + k) (b -. a)
+  done;
+  apply_t3 ops.face ~scale:rdx alpha face ~foff:0 face ~ooff:(2 * nf);
+  if lam <> 0.0 then begin
+    let s = lam *. rdx and g = 2 * nf in
+    for k = 0 to nf - 1 do
+      Array.unsafe_set face (g + k)
+        (Array.unsafe_get face (g + k) -. (s *. Array.unsafe_get face (nf + k)))
+    done
+  end
 
 let[@inline] mark tr tm = if tr then tm.since <- Obs.now ()
 let[@inline] lap tm = Obs.now () -. tm.since
@@ -79,7 +165,7 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
   let np = Layout.num_basis lay in
   let alpha = Array.make np 0.0 and falpha = Array.make np 0.0 in
   let vcenter = Array.make vdim 0.0 and cl = Array.make pdim 0 in
-  let nface = Array.fold_left (fun m d -> max m d.ops.Dispatch.nface) 0 dirs in
+  let nface = Array.fold_left (fun m d -> max m d.ops.nface) 0 dirs in
   let face = Array.make (3 * nface) 0.0 in
   Grid.iter_cells grid (fun _ c ->
       let foff = Field.unsafe_cell_offset f c in
@@ -92,20 +178,18 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
         let dir = d.dir and ops = d.ops in
         let is_cfg = dir < cdim in
         let rdx = 1.0 /. dx.(dir) in
-        let gof = 2 * ops.Dispatch.nface in
+        let gof = 2 * ops.nface in
         mark tr tm;
         d.fill ctx c vcenter alpha;
         if tr then tm.fill_s <- tm.fill_s +. lap tm;
         (* volume term *)
         mark tr tm;
-        (match ops.Dispatch.vol_stream with
-        | Some id ->
+        (match ops.vol with
+        | Stream id ->
             (* vd = dir for configuration directions (Layout pairing) *)
             K.stream id ~wv:vcenter.(dir) ~dv:dvx.(dir) ~rdx2:(2.0 *. rdx)
               fd ~foff od ~ooff
-        | None ->
-            apply_t3 ops.Dispatch.vol ~scale:(2.0 *. rdx) alpha fd ~foff od
-              ~ooff);
+        | Alpha op -> apply_t3 op ~scale:(2.0 *. rdx) alpha fd ~foff od ~ooff);
         (match d.volume with Some h -> h ctx fd ~foff od ~ooff | None -> ());
         if tr then tm.volume_s <- tm.volume_s +. lap tm;
         (* lower face of cell [c]: L = c - e_dir (possibly ghost), R = c;
@@ -123,19 +207,19 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
           in
           let lam = d.speed vcenter a in
           let foff_l = Field.unsafe_cell_offset f cl in
-          Dispatch.face_flux ops ~rdx ~lam a fd ~foff_l ~foff_r:foff face;
+          face_flux ops ~rdx ~lam a fd ~foff_l ~foff_r:foff face;
           (* update the left cell unless it is a ghost *)
           if cl.(dir) >= 0 then begin
             let ooff_l = Field.unsafe_cell_offset out cl in
-            apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof od
+            apply_t2 ops.lift_hi ~scale:(-1.0) face ~foff:gof od
               ~ooff:ooff_l;
-            apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od ~ooff;
+            apply_t2 ops.lift_lo ~scale:1.0 face ~foff:gof od ~ooff;
             match d.face with
             | Some h -> h ctx fd ~foff_l ~foff_r:foff od ~ooff_l ~ooff_r:ooff
             | None -> ()
           end
           else
-            apply_t2 ops.Dispatch.lift_lo ~scale:1.0 face ~foff:gof od ~ooff;
+            apply_t2 ops.lift_lo ~scale:1.0 face ~foff:gof od ~ooff;
           if tr then tm.surface_s <- tm.surface_s +. lap tm
         end;
         (* upper boundary face (configuration directions only; ghost
@@ -145,9 +229,9 @@ let run ?timers (lay : Layout.t) (dirs : 'a dir array) (ctx : 'a) ~(f : Field.t)
           Array.blit c 0 cl 0 pdim;
           cl.(dir) <- c.(dir) + 1;
           let lam = d.speed vcenter alpha in
-          Dispatch.face_flux ops ~rdx ~lam alpha fd ~foff_l:foff
+          face_flux ops ~rdx ~lam alpha fd ~foff_l:foff
             ~foff_r:(Field.unsafe_cell_offset f cl) face;
-          apply_t2 ops.Dispatch.lift_hi ~scale:(-1.0) face ~foff:gof od ~ooff;
+          apply_t2 ops.lift_hi ~scale:(-1.0) face ~foff:gof od ~ooff;
           if tr then tm.surface_s <- tm.surface_s +. lap tm
         end;
         (* velocity-domain boundary faces *)

@@ -1,24 +1,79 @@
 (** The one hyperbolic DG sweep, shared by every phase-space flux term in
     face form: the Vlasov streaming and acceleration terms ({!Solver}) and
     the drift of the Dougherty collision operator
-    ([Dg_collisions.Lbo]).
+    ([Dg_collisions.Lbo]), and the kernel selection it runs on.
 
     For each cell, and each direction in array order, the sweep fills the
     flux expansion alpha once, applies the volume term, and handles the
-    cell's lower face with {!Dg_dispatch.Dispatch.face_flux} and the two
-    lifts.  In configuration directions the last cell also takes its
-    upper face against the ghost layer.  Velocity-domain faces carry no
-    flux, so no velocity ghost is read.  The body is driven only by the
-    per-direction data below. *)
+    cell's lower face: the two restrictions, one numerical flux on the
+    face basis, the two lifts.  In configuration directions the last cell
+    also takes its upper face against the ghost layer.  Velocity-domain
+    faces carry no flux, so no velocity ghost is read.  The body is driven
+    only by the per-direction data below.
+
+    Each tensor application of a direction is selected once, by {!select}
+    or {!interpreted}: a generated unrolled kernel (lib/genkernels) when
+    the registry holds the direction (it holds every direction of every
+    [Dg_codegen.Codegen.standard_configs] entry), the interpreted sparse
+    tensors otherwise.  The hot path pays one constructor match per
+    tensor application, then calls the external of the kernel's kind
+    with its id. *)
 
 module Layout = Dg_kernels.Layout
 module Tensors = Dg_kernels.Tensors
+module Sparse = Dg_kernels.Sparse
 module Field = Dg_grid.Field
+
+type t3_op = Gen3 of int | Interp3 of Sparse.t3
+(** A 3-tensor application: a kernel id of [Dg_genkernels.Kernels.t3],
+    or interpreted. *)
+
+type t2_op = Gen2 of int | Interp2 of Sparse.t2
+(** A 2-tensor application: a kernel id of [Dg_genkernels.Kernels.t2],
+    or interpreted. *)
+
+(** The volume term of a direction. *)
+type vol_op =
+  | Stream of int
+      (** kernel id of a specialized streaming volume kernel
+          ([Dg_genkernels.Kernels.stream]; generated configuration
+          directions): it folds the two-coefficient flux expansion into
+          its literals, so it takes cell geometry, not alpha *)
+  | Alpha of t3_op  (** the volume tensor applied to the flux expansion *)
+
+(** The tensor applications of one phase-space direction, selected. *)
+type ops = {
+  vol : vol_op;
+  nface : int;  (** face-basis size (scratch length of the face ops) *)
+  restrict_lo : t2_op;  (** face <- volume trace at xi_dir = -1 *)
+  restrict_hi : t2_op;  (** face <- volume trace at xi_dir = +1 *)
+  face : t3_op;  (** the face triple: (face row, alpha index, face column) *)
+  lift_lo : t2_op;  (** volume <- face, into the cell above the face *)
+  lift_hi : t2_op;  (** volume <- face, into the cell below the face *)
+  mults : int option;
+      (** [Some n]: a generated bundle backs the direction, with [n]
+          multiplications per cell-direction update; [None]: interpreted *)
+}
+
+val interpreted : Tensors.dir_kernels -> ops
+(** The interpreted sparse applications of a direction's tensors, for
+    any flux support (the registry covers only the Vlasov supports). *)
+
+val select : use_generated:bool -> Layout.t -> Tensors.dir_kernels -> ops
+(** The ops of direction [dk.dir] of [lay]: the generated bundle when
+    [use_generated] and the registry holds the direction, else
+    [interpreted dk].
+
+    Obs counters (when tracing is enabled): [dispatch.specialized_dirs] /
+    [dispatch.interpreted_dirs] per selected direction;
+    [kernels.cse_saved_mults] (multiplications the codegen CSE pass
+    removed) and [kernels.chunks] (kernel parts emitted) per generated
+    direction. *)
 
 (** One direction of a sweep, with a per-call context ['a]. *)
 type 'a dir = {
   dir : int;  (** phase-space direction *)
-  ops : Dg_dispatch.Dispatch.dir_ops;
+  ops : ops;
   fill : 'a -> int array -> float array -> float array -> unit;
       (** [fill ctx c vcenter alpha]: the flux expansion of cell [c]
           (velocity-cell centers [vcenter]) into [alpha] *)

@@ -49,9 +49,9 @@ let check_streaming ~cdim ~vdim ~family ~p ~dir =
   let vol = Tensors.volume lay.Layout.basis ~support ~dir in
   let b = bundle ~cdim ~vdim ~family ~p ~dir in
   let gen =
-    match b.Gen.vol_stream with
-    | Some id -> id
-    | None -> Alcotest.failf "config dir %d bundle lacks vol_stream" dir
+    match b.Gen.vol with
+    | Gen.Stream id -> id
+    | Gen.Alpha _ -> Alcotest.failf "config dir %d bundle lacks Stream" dir
   in
   let rng = Random.State.make [| 17 |] in
   for _ = 1 to 10 do
@@ -72,7 +72,11 @@ let check_accel ~cdim ~vdim ~family ~p ~dir =
   let np = Layout.num_basis lay in
   let support = Tensors.acceleration_support lay ~vdir:dir in
   let vol = Tensors.volume lay.Layout.basis ~support ~dir in
-  let gen = (bundle ~cdim ~vdim ~family ~p ~dir).Gen.vol in
+  let gen =
+    match (bundle ~cdim ~vdim ~family ~p ~dir).Gen.vol with
+    | Gen.Alpha id -> id
+    | Gen.Stream _ -> Alcotest.failf "velocity dir %d has a Stream kernel" dir
+  in
   let rng = Random.State.make [| 23 |] in
   for _ = 1 to 10 do
     let f = Array.init np (fun _ -> Random.State.float rng 2.0 -. 1.0) in

@@ -104,19 +104,22 @@ let test_all_registry_configs () =
    differently from their own source, in the last bits (digest
    9307a3198cf218ff181c998ff490ff5f); C at any -O level and the
    default-allocator OCaml agree on 4a303a66. *)
-let rhs_digest ~family ~p ~cdim ~vdim =
-  let lay = make_layout ~family ~p ~cdim ~vdim in
-  let s = Solver.create ~use_kernels:true ~qm:(-2.0) lay in
-  let f = random_f ~seed:(100 + (10 * cdim) + vdim) lay in
-  let em = random_em ~seed:(200 + p) lay in
-  let out = phase_field lay ~ncomp:(Layout.num_basis lay) in
-  Solver.rhs s ~f ~em:(Some em) ~out;
+let field_digest (lay : Layout.t) out =
   let b = Buffer.create 4096 in
   Grid.iter_cells lay.Layout.grid (fun _ c ->
       for k = 0 to Field.ncomp out - 1 do
         Buffer.add_int64_le b (Int64.bits_of_float (Field.get out c k))
       done);
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let rhs_digest ?(flux = Solver.Upwind) ~family ~p ~cdim ~vdim () =
+  let lay = make_layout ~family ~p ~cdim ~vdim in
+  let s = Solver.create ~flux ~use_kernels:true ~qm:(-2.0) lay in
+  let f = random_f ~seed:(100 + (10 * cdim) + vdim) lay in
+  let em = random_em ~seed:(200 + p) lay in
+  let out = phase_field lay ~ncomp:(Layout.num_basis lay) in
+  Solver.rhs s ~f ~em:(Some em) ~out;
+  field_digest lay out
 
 let pinned_rhs_digests =
   [
@@ -137,18 +140,71 @@ let pinned_rhs_digests =
     ("2x2v p=2 tensor", "b8562f4c0dc981678c799d46f82f56fb");
   ]
 
-let test_rhs_digests () =
+(* The same rhs with the central flux: every face takes the penalty-free
+   branch of the face flux (lam = 0). *)
+let pinned_central_digests =
+  [
+    ("1x1v p=1 serendipity", "f2ddd5a17300483c4c22d0b7fa64255e");
+    ("1x1v p=2 serendipity", "c24771b85ad90f618727e9b697ea3b56");
+    ("1x2v p=1 serendipity", "7ef16b3e49f214c9d020a6ebbb080843");
+    ("1x2v p=2 serendipity", "25d531bef529aeb91a560b0cbc6b3faf");
+    ("2x2v p=1 serendipity", "d0dc68f80d9a48786fe144b46aa93df9");
+    ("2x2v p=2 serendipity", "498377e32ec01e1ce9aa6ffc17482fad");
+    ("2x3v p=1 serendipity", "294c1b6b963125927d44e08038ee12d7");
+    ("2x3v p=2 serendipity", "70ed92c5ea7b92f7fe39ee5b79d1fc93");
+    ("3x3v p=1 serendipity", "379d5ba7bbb50243f91da1d93d7b6306");
+    ("1x1v p=1 tensor", "f2ddd5a17300483c4c22d0b7fa64255e");
+    ("1x1v p=2 tensor", "2140d27bcb3eb2a425ee00f5fd15c98f");
+    ("1x2v p=1 tensor", "7ef16b3e49f214c9d020a6ebbb080843");
+    ("1x2v p=2 tensor", "1b33afe91ccee6c15877b1b3f964ae2d");
+    ("2x2v p=1 tensor", "d0dc68f80d9a48786fe144b46aa93df9");
+    ("2x2v p=2 tensor", "a268ef2d3957d69c38f14fc485684ee3");
+  ]
+
+let check_digests ?flux pinned =
   List.iter
     (fun (family, p, cdim, vdim) ->
       let tag =
         Printf.sprintf "%dx%dv p=%d %s" cdim vdim p (Modal.family_name family)
       in
-      let got = rhs_digest ~family ~p ~cdim ~vdim in
-      match List.assoc_opt tag pinned_rhs_digests with
+      let got = rhs_digest ?flux ~family ~p ~cdim ~vdim () in
+      match List.assoc_opt tag pinned with
       | Some want when want = got -> ()
       | Some want -> Alcotest.failf "%s: rhs digest %s, pinned %s" tag got want
       | None -> Alcotest.failf "%s: no pinned digest (got %s)" tag got)
     Codegen.standard_configs
+
+let test_rhs_digests () = check_digests pinned_rhs_digests
+
+let test_central_digests () =
+  check_digests ~flux:Solver.Central pinned_central_digests
+
+(* The Dougherty drift runs the interpreted face flux with a lower-face
+   flux expansion of its own (the sweep's [face_alpha] hook, which no
+   other operator uses): one seeded Lbo.rhs on 1X2V p=2 Serendipity,
+   pinned bit for bit.  The distribution is positive in the cell
+   average, so every cell is realizable and no floor is taken. *)
+let test_lbo_digest () =
+  let module Lbo = Dg_collisions.Lbo in
+  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 in
+  let np = Layout.num_basis lay in
+  let rng = Random.State.make [| 57 |] in
+  let f = phase_field lay ~ncomp:np in
+  Grid.iter_cells lay.Layout.grid (fun _ c ->
+      Field.set f c 0 (1.0 +. Random.State.float rng 0.5);
+      for k = 1 to np - 1 do
+        Field.set f c k (Random.State.float rng 0.2 -. 0.1)
+      done);
+  Field.sync_ghosts f (phase_bcs lay);
+  let lbo = Lbo.create ~nu:0.8 lay in
+  Lbo.update_prim lbo ~f;
+  Alcotest.(check int) "every cell realizable" 0 (Lbo.nonrealizable_cells lbo);
+  let out = phase_field lay ~ncomp:np in
+  Field.fill out 0.0;
+  Lbo.rhs lbo ~f ~out;
+  Alcotest.(check string) "1x2v p=2 serendipity Lbo.rhs digest"
+    "bdddb18a954222e2646e3d9109381c73"
+    (field_digest lay out)
 
 (* A configuration the registry does not cover must fall back to the
    interpreted path with no behavioural difference. *)
@@ -192,7 +248,11 @@ let test_standard_configs_dispatched () =
       let s = Solver.create ~use_kernels:true ~qm:(-1.0) lay in
       Array.iteri
         (fun dir sp ->
-          let hit = Dg_dispatch.Dispatch.find_bundle lay ~dir <> None in
+          let hit =
+            Gen.find ~family:(Modal.family_name family) ~poly_order:p ~cdim
+              ~vdim ~dir
+            <> None
+          in
           if not (sp && hit) then
             Alcotest.failf
               "%dx%dv p=%d %s dir %d: specialized %b, registry hit %b; every \
@@ -317,7 +377,9 @@ let qcheck_chunked_equivalence =
 
 (* The same generated kernel applied at a real field offset and on a
    copied cell block must produce bit-identical coefficients: the
-   zero-copy ABI changes data movement only, never arithmetic. *)
+   zero-copy ABI changes data movement only, never arithmetic.  Every
+   kernel id of every 2X2V p=2 bundle is applied: the volume kernel of
+   its kind and the five face kernels. *)
 let test_zero_copy_bitwise () =
   List.iter
     (fun family ->
@@ -332,31 +394,43 @@ let test_zero_copy_bitwise () =
       let foff = Field.offset f c in
       let fblock = Array.sub fd foff np in
       for dir = 0 to pdim - 1 do
-        match
-          Gen.find
-            ~family:(Modal.family_name family)
-            ~poly_order:2 ~cdim:2 ~vdim:2 ~dir
-        with
-        | None -> ()
-        | Some b ->
-            let out_off = Array.make (foff + np) 0.0 in
-            let out_blk = Array.make np 0.0 in
-            Gen.t3 b.Gen.vol ~scale:0.9 alpha fd ~foff out_off ~ooff:foff;
-            Gen.t3 b.Gen.vol ~scale:0.9 alpha fblock ~foff:0 out_blk ~ooff:0;
-            Gen.t2 b.Gen.restrict_lo ~scale:(-1.3) fd ~foff out_off ~ooff:foff;
-            Gen.t2 b.Gen.restrict_lo ~scale:(-1.3) fblock ~foff:0 out_blk
-              ~ooff:0;
-            Gen.t3 b.Gen.face ~scale:0.7 alpha fd ~foff out_off ~ooff:foff;
-            Gen.t3 b.Gen.face ~scale:0.7 alpha fblock ~foff:0 out_blk ~ooff:0;
-            Gen.t2 b.Gen.lift_hi ~scale:0.4 fd ~foff out_off ~ooff:foff;
-            Gen.t2 b.Gen.lift_hi ~scale:0.4 fblock ~foff:0 out_blk ~ooff:0;
-            for k = 0 to np - 1 do
-              let a = out_off.(foff + k) and bv = out_blk.(k) in
-              if Int64.bits_of_float a <> Int64.bits_of_float bv then
-                Alcotest.failf
-                  "%s dir %d coeff %d: %.17g not bit-identical to %.17g"
-                  (Modal.family_name family) dir k a bv
-            done
+        let b =
+          match
+            Gen.find
+              ~family:(Modal.family_name family)
+              ~poly_order:2 ~cdim:2 ~vdim:2 ~dir
+          with
+          | Some b -> b
+          | None -> Alcotest.failf "no bundle for dir %d" dir
+        in
+        let out_off = Array.make (foff + np) 0.0 in
+        let out_blk = Array.make np 0.0 in
+        (* each kernel once on the field at [foff], once on the block *)
+        let both k =
+          k fd foff out_off foff;
+          k fblock 0 out_blk 0
+        in
+        (match b.Gen.vol with
+        | Gen.Stream id ->
+            both (fun f foff out ooff ->
+                Gen.stream id ~wv:0.3 ~dv:0.25 ~rdx2:1.7 f ~foff out ~ooff)
+        | Gen.Alpha id ->
+            both (fun f foff out ooff ->
+                Gen.t3 id ~scale:0.9 alpha f ~foff out ~ooff));
+        both (fun f foff out ooff ->
+            Gen.t3 b.Gen.face ~scale:0.7 alpha f ~foff out ~ooff);
+        List.iter
+          (fun id ->
+            both (fun f foff out ooff ->
+                Gen.t2 id ~scale:(-1.3) f ~foff out ~ooff))
+          [ b.Gen.restrict_lo; b.Gen.restrict_hi; b.Gen.lift_lo; b.Gen.lift_hi ];
+        for k = 0 to np - 1 do
+          let a = out_off.(foff + k) and bv = out_blk.(k) in
+          if Int64.bits_of_float a <> Int64.bits_of_float bv then
+            Alcotest.failf
+              "%s dir %d coeff %d: %.17g not bit-identical to %.17g"
+              (Modal.family_name family) dir k a bv
+        done
       done)
     [ Modal.Serendipity; Modal.Tensor ]
 
@@ -414,13 +488,16 @@ let test_kernel_cache_key () =
   Alcotest.(check int) "and builds nothing" misses0 misses1
 
 let () =
-  Alcotest.run "dg_dispatch"
+  Alcotest.run "kernel_dispatch"
     [
       ( "dispatch",
         [
           Alcotest.test_case "dispatched rhs == interpreted (all configs)"
             `Quick test_all_registry_configs;
           Alcotest.test_case "generated rhs digests" `Quick test_rhs_digests;
+          Alcotest.test_case "central-flux rhs digests" `Quick
+            test_central_digests;
+          Alcotest.test_case "Lbo.rhs digest" `Quick test_lbo_digest;
           Alcotest.test_case "unsupported config falls back" `Quick
             test_fallback_config;
           Alcotest.test_case "specialized_dirs reporting" `Quick
