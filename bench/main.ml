@@ -5,7 +5,7 @@
      dune exec bench/main.exe            # everything at container scale
      dune exec bench/main.exe -- fig2    # one experiment
      subcommands: fig1 fig2 table1 efficiency fig3 fig5 conservation
-                  ablation resilience guard all
+                  ablation sweep resilience guard all
 
    An unknown name exits 1.  The repo's benchmark, with per-layer
    metrics and a machine-readable schema, is bench/profile (see its
@@ -573,6 +573,92 @@ let ablation () =
     (t_gen *. 1e9) (t_sparse /. t_gen);
   pr "(the sparsity + unrolling story of paper Section II)\n"
 
+(* --- sweep overhead: the update loop around the kernels ------------------ *)
+
+(* Per Serendipity layout: the time of a cell-direction's kernels called
+   in a tight loop on L1-resident blocks (the volume kernel, the face
+   flux and both lifts, averaged over the directions), against a warm,
+   untraced Solver.rhs with an EM field and the upwind flux, per
+   cell-direction; and the minor words that rhs allocates per
+   cell-direction.  The ratio is the sweep's overhead factor. *)
+let sweep () =
+  section "Sweep overhead - isolated kernels vs the whole sweep (Serendipity)";
+  let module Sweep = Dg_vlasov.Sweep in
+  let module K = Dg_genkernels.Kernels in
+  pr "%-9s %-10s %14s %12s %9s %12s\n" "layout" "grid" "isolated ns/cd"
+    "sweep ns/cd" "ratio" "words/cd";
+  List.iter
+    (fun (cdim, vdim, p, cells_c, cells_v) ->
+      let lay =
+        make_layout ~cells_c ~cells_v ~cdim ~vdim ~family:Modal.Serendipity ~p
+          ()
+      in
+      let np = Layout.num_basis lay and pdim = lay.Layout.pdim in
+      let rng = Random.State.make [| 23 |] in
+      let rand n = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+      (* isolated: two neighbouring blocks, every direction's kernels *)
+      let fblk = rand (2 * np) and oblk = Array.make (2 * np) 0.0 in
+      let alpha = rand np in
+      let n_inner = 1000 in
+      let t_iso =
+        Array.init pdim (fun dir ->
+            let ops =
+              Sweep.select ~use_generated:true lay (Tensors.make_dir lay ~dir)
+            in
+            let face = Array.make (3 * ops.Sweep.nface) 0.0 in
+            let gof = 2 * ops.Sweep.nface in
+            time_per_call (fun () ->
+                for _ = 1 to n_inner do
+                  (match ops.Sweep.vol with
+                  | Sweep.Stream id ->
+                      K.stream id ~wv:0.3 ~dv:0.25 ~rdx2:2.0 fblk ~foff:np oblk
+                        ~ooff:np
+                  | Sweep.Alpha op ->
+                      Sweep.apply_t3 op ~scale:2.0 alpha fblk ~foff:np oblk
+                        ~ooff:np);
+                  Sweep.face_flux ops ~rdx:1.0 ~lam:0.5 alpha fblk ~foff_l:0
+                    ~foff_r:np face;
+                  Sweep.apply_t2 ops.Sweep.lift_hi ~scale:(-1.0) face ~foff:gof
+                    oblk ~ooff:0;
+                  Sweep.apply_t2 ops.Sweep.lift_lo ~scale:1.0 face ~foff:gof
+                    oblk ~ooff:np
+                done)
+            /. float_of_int n_inner)
+      in
+      let iso = Array.fold_left ( +. ) 0.0 t_iso /. float_of_int pdim in
+      (* the whole sweep *)
+      let solver = Solver.create ~flux:Solver.Upwind ~qm:(-1.0) lay in
+      let f = random_phase ~seed:29 lay ~ncomp:np in
+      Field.sync_ghosts f (phase_bcs lay);
+      let em = random_em lay in
+      let out = phase_field lay ~ncomp:np in
+      let rhs () = Solver.rhs solver ~f ~em:(Some em) ~out in
+      rhs ();
+      let w0 = Gc.minor_words () in
+      rhs ();
+      let words = Gc.minor_words () -. w0 in
+      let celldirs = float_of_int (Grid.num_cells lay.Layout.grid * pdim) in
+      let t_sweep = time_per_call rhs /. celldirs in
+      let grid =
+        Printf.sprintf "%d^%dx%d^%d" cells_c cdim cells_v vdim
+      in
+      pr "%-9s %-10s %14.0f %12.0f %9.2f %12.2f\n"
+        (Printf.sprintf "%dX%dV p=%d" cdim vdim p)
+        grid (iso *. 1e9) (t_sweep *. 1e9) (t_sweep /. iso)
+        (words /. celldirs))
+    [
+      (1, 1, 1, 32, 48);
+      (1, 1, 2, 32, 48);
+      (2, 2, 1, 4, 16);
+      (2, 2, 2, 4, 8);
+      (2, 3, 1, 2, 4);
+      (2, 3, 2, 2, 4);
+      (3, 3, 1, 2, 4);
+    ];
+  pr "(cd = cell-direction; isolated = volume kernel + face flux + both lifts\n\
+     \ on L1-resident blocks, averaged over directions; sweep = warm untraced\n\
+     \ Solver.rhs with E and B, upwind flux)\n"
+
 (* --- resilience: health-check, rollback/retry, checkpoint cost ----------- *)
 
 let resilience () =
@@ -672,6 +758,7 @@ let () =
       conservation ();
       efficiency ();
       ablation ();
+      sweep ();
       resilience ();
       guard ();
       fig3 ();
@@ -685,6 +772,7 @@ let () =
   | _ :: "fig5" :: _ -> fig5 ()
   | _ :: "conservation" :: _ -> conservation ()
   | _ :: "ablation" :: _ -> ablation ()
+  | _ :: "sweep" :: _ -> sweep ()
   | _ :: "resilience" :: _ -> resilience ()
   | _ :: "guard" :: _ -> guard ()
   | _ :: s :: _ ->

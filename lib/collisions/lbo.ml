@@ -21,7 +21,7 @@
      interface value and slope; all tensors still factorize into exact 1D
      Legendre tables (d2trip / dedge / recovery stencils).  Its volume,
      face and boundary terms are the sweep's hooks, with g = nu vth^2(x)
-     filled once per cell.
+     filled once per pencil of the sweep (one configuration cell).
 
    Velocity-space boundaries are zero-flux, so particle number is conserved
    to machine precision.  Momentum and energy are conserved up to the
@@ -42,6 +42,10 @@ module Grid = Dg_grid.Grid
 module Field = Dg_grid.Field
 module Moments = Dg_moments.Moments
 
+(* The context of one sweep: g = nu vth^2(x) in the phase basis, and the
+   offset of u's block, for the configuration cell of the current pencil. *)
+type ctx = { g : float array; mutable u_off : int }
+
 type t = {
   lay : Layout.t;
   nu : float;
@@ -50,7 +54,8 @@ type t = {
   prim : Prim_moments.t;
   moments : Moments.t;
   prim_state : Prim_moments.prim;
-  sweep : float array Sweep.dir array; (* one per velocity direction *)
+  sweep : ctx Sweep.dir array; (* one per velocity direction *)
+  pencil : ctx -> int array -> unit; (* the sweep's pencil hook *)
 }
 
 (* The sweep data of velocity direction [vdir]. *)
@@ -79,21 +84,13 @@ let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
   in
   (* -nu v_j on the constant and linear-in-v_j modes, +nu u_j(x) on the
      configuration modes *)
-  let fill g c (vcenter : float array) alpha =
-    if vdir = 0 then begin
-      let vth2 = ps.Prim_moments.vth2 in
-      let gb = Field.unsafe_leading_offset vth2 c and gd = Field.data vth2 in
-      for a = 0 to nc - 1 do
-        g.(cfg.(a)) <- nu *. sv *. gd.(gb + a)
-      done
-    end;
+  let fill ctx (vcenter : float array) alpha =
     for i = 0 to Array.length support - 1 do
       alpha.(support.(i)) <- 0.0
     done;
     alpha.(c0) <- -.nu *. vcenter.(vdir) *. s0;
     alpha.(lin) <- -.nu *. 0.5 *. dv *. s1;
-    let u = ps.Prim_moments.u in
-    let ub = Field.unsafe_leading_offset u c + (vdir * nc) and ud = Field.data u in
+    let ub = ctx.u_off + (vdir * nc) and ud = Field.data ps.Prim_moments.u in
     for a = 0 to nc - 1 do
       alpha.(cfg.(a)) <- alpha.(cfg.(a)) +. (nu *. sv *. ud.(ub + a))
     done
@@ -105,13 +102,6 @@ let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
       falpha.(support.(i)) <- alpha.(support.(i))
     done;
     falpha.(c0) <- falpha.(c0) +. shift
-  in
-  let speed _ alpha =
-    let acc = ref 0.0 in
-    for i = 0 to Array.length support - 1 do
-      acc := !acc +. (Float.abs alpha.(support.(i)) *. maxval.(i))
-    done;
-    !acc
   in
   (* twice-integrated recovery diffusion over the configuration support *)
   let p = Modal.poly_order basis in
@@ -137,12 +127,12 @@ let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
   let dd = d2 *. d2 in
   let ndd = -.dd in
   (* + int g w'' f *)
-  let volume g fd ~foff od ~ooff =
+  let volume { g; _ } fd ~foff od ~ooff =
     Sparse.apply_t3_off vol_diff ~scale:dd g fd ~foff od ~ooff
   in
   (* n . ( w g r'(0) - w' g r(0) ): the left cell sees n = +1, the right
      cell n = -1 *)
-  let face g fd ~foff_l ~foff_r od ~ooff_l ~ooff_r =
+  let face { g; _ } fd ~foff_l ~foff_r od ~ooff_l ~ooff_r =
     Sparse.apply_t3_off rd_hi_l ~scale:dd g fd ~foff:foff_l od ~ooff:ooff_l;
     Sparse.apply_t3_off rd_hi_r ~scale:dd g fd ~foff:foff_r od ~ooff:ooff_l;
     Sparse.apply_t3_off rv_hi_l ~scale:ndd g fd ~foff:foff_l od ~ooff:ooff_l;
@@ -154,7 +144,7 @@ let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
   in
   (* zero-flux velocity boundaries: g df/dv . n = 0, leaving only the
      -n w' g f_trace term of the twice-integrated form *)
-  let boundary g side fd ~foff od ~ooff =
+  let boundary { g; _ } side fd ~foff od ~ooff =
     match side with
     | Tensors.Lo -> Sparse.apply_t3_off tr_lo ~scale:dd g fd ~foff od ~ooff
     | Tensors.Hi -> Sparse.apply_t3_off tr_hi ~scale:ndd g fd ~foff od ~ooff
@@ -171,12 +161,25 @@ let sweep_dir (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) ~vdir =
     Sweep.dir;
     ops = Sweep.interpreted dk;
     fill;
-    speed;
+    speed = Sweep.Bound { support; maxval };
     face_alpha = Some face_alpha;
     volume = Some volume;
     face = Some face;
     boundary = Some boundary;
   }
+
+(* The sweep's pencil hook: g and u's block offset for the configuration
+   cell of the pencil. *)
+let pencil (lay : Layout.t) ~nu ~(ps : Prim_moments.prim) =
+  let nc = Layout.num_cbasis lay and cfg = lay.Layout.cfg_to_phase in
+  let sv = sqrt 2.0 ** float_of_int lay.Layout.vdim in
+  fun ctx c ->
+    let vth2 = ps.Prim_moments.vth2 in
+    let gb = Field.unsafe_leading_offset vth2 c and gd = Field.data vth2 in
+    for a = 0 to nc - 1 do
+      ctx.g.(cfg.(a)) <- nu *. sv *. gd.(gb + a)
+    done;
+    ctx.u_off <- Field.unsafe_leading_offset ps.Prim_moments.u c
 
 let create ?(n_floor = Bgk.default_n_floor) ?(vth2_floor = Bgk.default_vth2_floor)
     ~nu (lay : Layout.t) =
@@ -193,6 +196,7 @@ let create ?(n_floor = Bgk.default_n_floor) ?(vth2_floor = Bgk.default_vth2_floo
     moments = Moments.make lay;
     prim_state = ps;
     sweep = Array.init lay.Layout.vdim (fun vdir -> sweep_dir lay ~nu ~ps ~vdir);
+    pencil = pencil lay ~nu ~ps;
   }
 
 (* Refresh primitive moments from the current distribution; flagged
@@ -212,12 +216,12 @@ let update_prim t ~(f : Field.t) =
 let nonrealizable_cells t = t.prim_state.Prim_moments.nonrealizable
 
 (* Accumulate C[f] into [out] (+=).  [update_prim] must have been called
-   with the same f (the RK stage state).  The sweep context is this call's
-   g = nu vth^2(x) in the phase basis, filled by the first direction of
-   each cell. *)
+   with the same f (the RK stage state). *)
 let rhs t ~(f : Field.t) ~(out : Field.t) =
   Dg_obs.Obs.span "lbo_rhs" (fun () ->
-      Sweep.run t.lay t.sweep (Array.make (Layout.num_basis t.lay) 0.0) ~f ~out)
+      Sweep.run ~pencil:t.pencil t.lay t.sweep
+        { g = Array.make (Layout.num_basis t.lay) 0.0; u_off = 0 }
+        ~f ~out)
 
 (* Stable explicit time step for the stiffest (diffusion) part:
    dt <= dv^2 / (2 nu vth2_max (2p+1)^2); a conservative bound. *)

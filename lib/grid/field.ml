@@ -76,36 +76,38 @@ let set f c k v = f.data.(offset f c + k) <- v
 
 (* --- Zero-copy cell addressing ----------------------------------------- *)
 
-(* The generated kernels read and write [data] with
-   [Array.unsafe_get]/[Array.unsafe_set] at literal in-block positions
-   relative to a cell's base offset, so this offset computation is the one
-   place bounds are established per cell.  VMDG_BOUNDS_CHECK=1 (read once
-   at module init) re-arms full per-coordinate checking for debugging the
-   zero-copy path. *)
+(* The generated kernels read and write [data] with unchecked pointers at
+   literal in-block positions relative to a cell's base offset, so the
+   offset arithmetic is where bounds are established: once per pencil of
+   the sweep ([unsafe_cell_offset]), then stepped by [cell_step].
+   VMDG_BOUNDS_CHECK=1 (read once at module init) re-arms full
+   per-coordinate checking of every offset the sweep uses, for debugging
+   the zero-copy path. *)
 let bounds_check =
   match Sys.getenv_opt "VMDG_BOUNDS_CHECK" with
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
 
-(* Validated offset of the cell at the first [ndim] coordinates of [c]. *)
-let checked_offset ~who f (c : int array) =
+(* Validated offset of the cell at the first [ndim] coordinates of [c],
+   shifted by [by] in dimension [dir] ([dir] < 0: no shift). *)
+let checked_offset ~who f (c : int array) ~dir ~by =
   let idx = ref f.origin in
   for d = 0 to Grid.ndim f.grid - 1 do
-    let cd = c.(d) + f.ghost.(d) in
-    if cd < 0 || cd >= f.ext.(d) then
+    let cd = if d = dir then c.(d) + by else c.(d) in
+    if cd < -f.ghost.(d) || cd >= f.ext.(d) - f.ghost.(d) then
       invalid_arg
-        (Printf.sprintf "%s: coordinate %d out of [%d, %d) in dim %d" who
-           c.(d) (-f.ghost.(d))
+        (Printf.sprintf "%s: coordinate %d out of [%d, %d) in dim %d" who cd
+           (-f.ghost.(d))
            (f.ext.(d) - f.ghost.(d))
            d);
-    idx := !idx + (c.(d) * f.stride.(d))
+    idx := !idx + (cd * f.stride.(d))
   done;
   !idx * f.ncomp
 
 let checked_cell_offset f (c : int array) =
   if Array.length c <> Grid.ndim f.grid then
     invalid_arg "Field.checked_cell_offset: coordinate rank mismatch";
-  checked_offset ~who:"Field.checked_cell_offset" f c
+  checked_offset ~who:"Field.checked_cell_offset" f c ~dir:(-1) ~by:0
 
 let unsafe_cell_offset f (c : int array) =
   if bounds_check then checked_cell_offset f c
@@ -121,7 +123,7 @@ let unsafe_leading_offset f (c : int array) =
   if bounds_check then begin
     if Array.length c < Grid.ndim f.grid then
       invalid_arg "Field.unsafe_leading_offset: fewer coordinates than dims";
-    checked_offset ~who:"Field.unsafe_leading_offset" f c
+    checked_offset ~who:"Field.unsafe_leading_offset" f c ~dir:(-1) ~by:0
   end
   else begin
     let idx = ref f.origin in
@@ -130,6 +132,18 @@ let unsafe_leading_offset f (c : int array) =
     done;
     !idx * f.ncomp
   end
+
+let cell_step f d = f.stride.(d) * f.ncomp
+
+let check_walked_offset f (c : int array) ~dir ~by off =
+  if Array.length c <> Grid.ndim f.grid then
+    invalid_arg "Field.check_walked_offset: coordinate rank mismatch";
+  let want = checked_offset ~who:"Field.check_walked_offset" f c ~dir ~by in
+  if off <> want then
+    invalid_arg
+      (Printf.sprintf
+         "Field.check_walked_offset: offset %d, but the cell's block is at %d"
+         off want)
 
 (* Read/write the whole coefficient block of a cell. *)
 let read_block f c (out : float array) =

@@ -63,8 +63,10 @@ val unsafe_cell_offset : t -> int array -> int
     silently addresses the neighbouring cell's block.  The generated C
     kernels then read and write [data t] through unchecked pointers at
     literal offsets within the [ncomp]-float block starting here, so
-    this single per-cell computation is where memory safety is established
-    — every in-block index is a compile-time literal [< ncomp].
+    memory safety is established by this offset and by the [cell_step]
+    arithmetic that derives its neighbours from it — every in-block index
+    is a compile-time literal [< ncomp].  The sweep computes it once per
+    pencil of cells.
 
     Setting the environment variable [VMDG_BOUNDS_CHECK=1] (read once at
     program start) makes this function behave exactly like
@@ -77,6 +79,21 @@ val unsafe_leading_offset : t -> int array -> int
     phase-space coordinates, for fields on the configuration grid.
     [VMDG_BOUNDS_CHECK=1] validates each of those coordinates, and that
     [c] has at least that many entries. *)
+
+val cell_step : t -> int -> int
+(** [cell_step t d]: the floats between the blocks of two cells that are
+    neighbours in dimension [d], so that the block of [c + e_d] starts
+    [cell_step t d] after that of [c]. *)
+
+val bounds_check : bool
+(** Whether [VMDG_BOUNDS_CHECK=1] was set at program start. *)
+
+val check_walked_offset : t -> int array -> dir:int -> by:int -> int -> unit
+(** [check_walked_offset t c ~dir ~by off] validates an offset derived by
+    [cell_step] arithmetic: every coordinate of the cell [c + by e_dir]
+    must lie in [t]'s stored range, and its block must start at [off].
+    Allocates nothing unless it raises.
+    @raise Invalid_argument otherwise. *)
 
 val get : t -> int array -> int -> float
 val set : t -> int array -> int -> float -> unit

@@ -19,18 +19,39 @@ let linear_coeff ~dim = sqrt (2.0 /. 3.0) *. (sqrt 2.0 ** float_of_int (dim - 1)
 
 (* --- streaming ---------------------------------------------------------- *)
 
-(* Fill [alpha] (length N_p, support entries only are touched after zeroing)
-   with the expansion of v_d in the phase cell whose paired velocity
-   coordinate has center [vcenter] and width [dv]. *)
-let streaming_alpha (lay : Layout.t) ~dir ~vcenter ~dv ~(support : int array)
-    (alpha : float array) =
-  ignore dir;
+(* The constants of the expansion of v_d along configuration direction
+   [dir], in cells of paired-velocity width [dv]: everything but the cell
+   center, fixed once per direction. *)
+type stream_ctx = {
+  vd : int; (* paired velocity dimension, 0-based within velocity space *)
+  const_idx : int; (* phase index of the constant mode *)
+  lin_idx : int; (* phase index of the mode linear in v_vd *)
+  const : float; (* sqrt(2)^pdim *)
+  lin : float; (* the linear coefficient, (dv/2) linear_coeff *)
+  half_dv : float;
+}
+
+let make_stream_ctx (lay : Layout.t) ~dir ~dv =
   let pdim = lay.Layout.pdim in
-  alpha.(support.(0)) <- vcenter *. const_coeff ~dim:pdim;
-  alpha.(support.(1)) <- 0.5 *. dv *. linear_coeff ~dim:pdim
+  let support = Tensors.streaming_support lay ~dir in
+  {
+    vd = Layout.paired_velocity_dim lay dir - lay.Layout.cdim;
+    const_idx = support.(0);
+    lin_idx = support.(1);
+    const = const_coeff ~dim:pdim;
+    lin = 0.5 *. dv *. linear_coeff ~dim:pdim;
+    half_dv = 0.5 *. dv;
+  }
+
+(* Fill [alpha] (support entries only) with the expansion of v_d in the
+   phase cell whose velocity-cell centers are [vcenter]. *)
+let streaming_alpha s ~(vcenter : float array) (alpha : float array) =
+  alpha.(s.const_idx) <- vcenter.(s.vd) *. s.const;
+  alpha.(s.lin_idx) <- s.lin
 
 (* Max |v_d| over a cell: penalty speed for streaming surfaces. *)
-let streaming_max_speed ~vcenter ~dv = Float.abs vcenter +. (0.5 *. dv)
+let streaming_max_speed s ~(vcenter : float array) =
+  Float.abs vcenter.(s.vd) +. s.half_dv
 
 (* --- acceleration ------------------------------------------------------- *)
 
@@ -131,18 +152,22 @@ let make_accel_ctx (lay : Layout.t) ~vdir ~qm =
    centers. *)
 let accel_alpha ctx ~(em : float array) ~em_off ~ncbasis
     ~(vcenter : float array) (alpha : float array) =
-  Array.iter (fun m -> alpha.(m) <- 0.0) ctx.support;
-  Array.iter
-    (fun t ->
-      let v = em.(em_off + (t.comp * ncbasis) + t.src) in
-      let c = if t.center_dim >= 0 then vcenter.(t.center_dim) else 1.0 in
-      alpha.(t.dst) <- alpha.(t.dst) +. (t.coef *. c *. v))
-    ctx.terms
+  let support = ctx.support and terms = ctx.terms in
+  for i = 0 to Array.length support - 1 do
+    alpha.(support.(i)) <- 0.0
+  done;
+  for i = 0 to Array.length terms - 1 do
+    let t = terms.(i) in
+    let v = em.(em_off + (t.comp * ncbasis) + t.src) in
+    let c = if t.center_dim >= 0 then vcenter.(t.center_dim) else 1.0 in
+    alpha.(t.dst) <- alpha.(t.dst) +. (t.coef *. c *. v)
+  done
 
 (* Upper bound on |a_j| over the cell, for the Lax-Friedrichs penalty. *)
 let accel_max_speed ctx (alpha : float array) =
-  let acc = ref 0.0 in
-  Array.iter
-    (fun m -> acc := !acc +. (Float.abs alpha.(m) *. ctx.maxval.(m)))
-    ctx.support;
+  let support = ctx.support and acc = ref 0.0 in
+  for i = 0 to Array.length support - 1 do
+    let m = support.(i) in
+    acc := !acc +. (Float.abs alpha.(m) *. ctx.maxval.(m))
+  done;
   !acc

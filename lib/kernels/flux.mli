@@ -16,18 +16,29 @@ val linear_coeff : dim:int -> float
 
 (** {1 Streaming} *)
 
-val streaming_alpha :
-  Layout.t ->
-  dir:int ->
-  vcenter:float ->
-  dv:float ->
-  support:int array ->
-  float array ->
-  unit
-(** Fill the expansion of v_d for a cell with paired-velocity center
-    [vcenter] and width [dv] (touches only the support entries). *)
+type stream_ctx = {
+  vd : int;  (** paired velocity dimension, 0-based within velocity space *)
+  const_idx : int;  (** phase index of the constant mode *)
+  lin_idx : int;  (** phase index of the mode linear in v_vd *)
+  const : float;  (** [const_coeff ~dim:pdim] *)
+  lin : float;  (** the linear coefficient, [0.5 dv linear_coeff ~dim:pdim] *)
+  half_dv : float;  (** [0.5 dv] *)
+}
+(** The constants of the streaming flux expansion of one configuration
+    direction: everything but the velocity-cell center. *)
 
-val streaming_max_speed : vcenter:float -> dv:float -> float
+val make_stream_ctx : Layout.t -> dir:int -> dv:float -> stream_ctx
+(** The constants of configuration direction [dir] in cells of
+    paired-velocity width [dv]. *)
+
+val streaming_alpha : stream_ctx -> vcenter:float array -> float array -> unit
+(** Fill the expansion of v_d for a cell with velocity-cell centers
+    [vcenter] (one per velocity dimension; touches only the support
+    entries). *)
+
+val streaming_max_speed : stream_ctx -> vcenter:float array -> float
+(** Max |v_d| over the cell, [|vcenter.(vd)| + dv/2]: the streaming
+    penalty speed. *)
 
 (** {1 Acceleration} *)
 

@@ -13,11 +13,15 @@
    the Dougherty collision drift runs on too: per cell and direction the
    flux expansion is built once and feeds the volume term and the cell's
    lower face (both sides of it), with the upper boundary face handled at
-   the grid edge — every interior face is visited exactly once.  A solver
-   value is immutable after [create]: each [rhs] call allocates its own
-   few words of scratch, so concurrent sweeps over one solver are safe.
-   The sweep iterates the grid of the *field* (not the layout), so
-   block-local fields of a decomposition reuse the same solver.  With
+   the grid edge — every interior face is visited exactly once.  The
+   sweep walks pencils of cells along the last velocity dimension; the
+   EM block offset, fixed along a pencil, is read once per pencil into
+   the call's context, and the streaming constants once per direction at
+   [create].  A solver value is immutable after [create]: each [rhs] call
+   allocates its own few words of scratch, whatever the grid, so
+   concurrent sweeps over one solver are safe.  The sweep walks the grid
+   of the *field* (not the layout), so block-local fields of a
+   decomposition reuse the same solver.  With
    Dg_obs tracing on the same sweep body also times its phases, which
    [rhs] files with its sweep counters; with tracing off each phase timer
    is a single branch.  The coupling tensors come from a process-wide
@@ -38,13 +42,17 @@ module Obs = Dg_obs.Obs
 
 type flux_kind = Central | Upwind
 
+(* The context of one sweep: the EM field, and the offset of its block
+   for the configuration cell of the current pencil. *)
+type ctx = { em : Field.t option; mutable em_off : int }
+
 type t = {
   lay : Layout.t;
   flux : flux_kind;
   qm : float; (* charge-to-mass ratio *)
   accel : Flux.accel_ctx array; (* one projection map per velocity dim *)
-  sweep : Field.t option Sweep.dir array; (* every direction *)
-  stream : Field.t option Sweep.dir array; (* configuration directions *)
+  sweep : ctx Sweep.dir array; (* every direction *)
+  stream : ctx Sweep.dir array; (* configuration directions *)
 }
 
 (* Process-wide kernel cache.  [Tensors.make_dir] output depends only on
@@ -93,34 +101,39 @@ let make_dirs (lay : Layout.t) =
 (* The sweep data of one direction.  Streaming: alpha = v_d has two
    coefficients fixed by the paired velocity cell.  Acceleration: the
    projection map of q/m (E + v x B) over the configuration cell's EM
-   block; the sweep context is the EM field. *)
+   block, whose offset the sweep's pencil hook ([em_pencil]) sets in the
+   context. *)
 let sweep_dir (lay : Layout.t) ~flux ~accel (dk : Tensors.dir_kernels) ops :
-    Field.t option Sweep.dir =
+    ctx Sweep.dir =
   let dir = dk.Tensors.dir and support = dk.Tensors.support in
   let central = flux = Central in
   let fill, speed =
     if Layout.is_config_dir lay dir then begin
       let vd = Layout.paired_velocity_dim lay dir - lay.Layout.cdim in
       let dv = (Grid.dx lay.Layout.vgrid).(vd) in
-      ( (fun _ _ vcenter alpha ->
-          Flux.streaming_alpha lay ~dir ~vcenter:vcenter.(vd) ~dv ~support alpha),
-        if central then fun _ _ -> 0.0
-        else fun vcenter _ -> Flux.streaming_max_speed ~vcenter:vcenter.(vd) ~dv )
+      let s = Flux.make_stream_ctx lay ~dir ~dv in
+      ( (fun _ vcenter alpha -> Flux.streaming_alpha s ~vcenter alpha),
+        if central then Sweep.No_penalty else Sweep.Stream_speed s )
     end
     else begin
-      let ctx = accel.(dir - lay.Layout.cdim) in
+      let actx = accel.(dir - lay.Layout.cdim) in
       let nc = Layout.num_cbasis lay in
-      ( (fun em c vcenter alpha ->
-          match em with
+      ( (fun ctx vcenter alpha ->
+          match ctx.em with
           | None ->
               (* no fields: zero acceleration *)
               Array.iter (fun m -> alpha.(m) <- 0.0) support
           | Some emf ->
-              Flux.accel_alpha ctx ~em:(Field.data emf)
-                ~em_off:(Field.unsafe_leading_offset emf c)
+              Flux.accel_alpha actx ~em:(Field.data emf) ~em_off:ctx.em_off
                 ~ncbasis:nc ~vcenter alpha),
-        if central then fun _ _ -> 0.0
-        else fun _ alpha -> Flux.accel_max_speed ctx alpha )
+        if central then Sweep.No_penalty
+        else
+          Sweep.Bound
+            {
+              support = actx.Flux.support;
+              maxval =
+                Array.map (fun m -> actx.Flux.maxval.(m)) actx.Flux.support;
+            } )
     end
   in
   {
@@ -193,10 +206,17 @@ let file_sweep t ~ncells ~(em : Field.t option) (tm : Sweep.timers) =
    and only the configuration directions are swept.  The tracing flag is
    read once per call; when it is off every phase timer is one
    predictable branch. *)
+let em_pencil ctx c =
+  match ctx.em with
+  | Some emf -> ctx.em_off <- Field.unsafe_leading_offset emf c
+  | None -> ()
+
 let rhs t ~(f : Field.t) ~(em : Field.t option) ~(out : Field.t) =
   let timers = if Obs.enabled () then Some (Sweep.timers ()) else None in
   Field.fill out 0.0;
-  Sweep.run ?timers t.lay (if em = None then t.stream else t.sweep) em ~f ~out;
+  Sweep.run ?timers ~pencil:em_pencil t.lay
+    (if em = None then t.stream else t.sweep)
+    { em; em_off = 0 } ~f ~out;
   Option.iter (file_sweep t ~ncells:(Grid.num_cells (Field.grid f)) ~em) timers
 
 (* Per-direction maximum characteristic speeds, for the CFL condition.

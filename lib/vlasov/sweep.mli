@@ -9,7 +9,10 @@
     face basis, the two lifts.  In configuration directions the last cell
     also takes its upper face against the ghost layer.  Velocity-domain
     faces carry no flux, so no velocity ghost is read.  The body is driven
-    only by the per-direction data below.
+    only by the per-direction data below.  Cells are walked pencil by
+    pencil along the last (velocity) dimension, whose configuration cell
+    is fixed: block offsets are stepped, not recomputed per cell, and on
+    generated kernels a cell-direction allocates nothing.
 
     Each tensor application of a direction is selected once, by {!select}
     or {!interpreted}: a generated unrolled kernel (lib/genkernels) when
@@ -70,16 +73,67 @@ val select : use_generated:bool -> Layout.t -> Tensors.dir_kernels -> ops
     removed) and [kernels.chunks] (kernel parts emitted) per generated
     direction. *)
 
+val apply_t3 :
+  t3_op ->
+  scale:float ->
+  float array ->
+  float array ->
+  foff:int ->
+  float array ->
+  ooff:int ->
+  unit
+(** [apply_t3 op ~scale alpha f ~foff out ~ooff]: out(l) += scale
+    sum T(l, m, n) alpha(m) f(n), on the blocks at [foff] and [ooff]. *)
+
+val apply_t2 :
+  t2_op ->
+  scale:float ->
+  float array ->
+  foff:int ->
+  float array ->
+  ooff:int ->
+  unit
+(** [apply_t2 op ~scale f ~foff out ~ooff]: out(l) += scale sum T(l, n) f(n). *)
+
+val face_flux :
+  ops ->
+  rdx:float ->
+  lam:float ->
+  float array ->
+  float array ->
+  foff_l:int ->
+  foff_r:int ->
+  float array ->
+  unit
+(** [face_flux ops ~rdx ~lam alpha f ~foff_l ~foff_r face]: the flux of
+    the face between the cells at [foff_l] (below) and [foff_r] (above)
+    on the face basis, into [face.(2 nface ..)] (its first [2 nface]
+    entries are scratch); [lam] is the penalty speed.  The sweep inlines
+    it; exposed for measuring the kernels in isolation. *)
+
+(** How the sweep bounds the penalty speed of a face from the flux
+    expansion [a] of the cell that traces it.  The sweep evaluates it
+    inline, with no call. *)
+type speed =
+  | No_penalty  (** central flux: 0 *)
+  | Stream_speed of Dg_kernels.Flux.stream_ctx
+      (** [Flux.streaming_max_speed]: |v_vd| + dv/2 at the cell's
+          velocity centers *)
+  | Bound of { support : int array; maxval : float array }
+      (** sum over i of |a.(support.(i))| maxval.(i), in that order
+          ([Flux.accel_max_speed] with its weights gathered to the
+          support order) *)
+
 (** One direction of a sweep, with a per-call context ['a]. *)
 type 'a dir = {
   dir : int;  (** phase-space direction *)
   ops : ops;
-  fill : 'a -> int array -> float array -> float array -> unit;
-      (** [fill ctx c vcenter alpha]: the flux expansion of cell [c]
-          (velocity-cell centers [vcenter]) into [alpha] *)
-  speed : float array -> float array -> float;
-      (** [speed vcenter alpha]: the penalty speed of a face whose flux
-          expansion is [alpha] (0 for a central flux) *)
+  fill : 'a -> float array -> float array -> unit;
+      (** [fill ctx vcenter alpha]: the flux expansion of the current cell
+          (velocity-cell centers [vcenter]) into [alpha]; what depends on
+          the configuration cell comes through [ctx], which the [pencil]
+          hook of {!run} sets *)
+  speed : speed;  (** the penalty speed of the direction's faces *)
   face_alpha : (float array -> float array -> unit) option;
       (** [face_alpha alpha out]: the expansion of the cell below the
           lower face, from the cell's own [alpha], when alpha is not
@@ -118,6 +172,7 @@ val timers : unit -> timers
 
 val run :
   ?timers:timers ->
+  ?pencil:('a -> int array -> unit) ->
   Layout.t ->
   'a dir array ->
   'a ->
@@ -125,7 +180,16 @@ val run :
   out:Field.t ->
   unit
 (** [run lay dirs ctx ~f ~out] accumulates the terms of [dirs] into [out]
-    (+=), sweeping the grid of [f].  Configuration ghosts of [f] must be
-    synchronized.  All scratch is allocated per call.  With [timers], the
-    phases are timed (fill, volume, surface: lower face, upper ghost face
-    and boundary hooks). *)
+    (+=), sweeping the grid of [f] pencil by pencil: the cells that differ
+    only in the last (velocity) coordinate, whose configuration cell is
+    the same, in storage order.  [pencil ctx c] runs before each pencil
+    with [c] its first cell, for the per-configuration-cell state of the
+    fills.  Cells are visited in {!Dg_grid.Grid.iter_cells} order and
+    directions in array order.  Configuration ghosts of [f] must be
+    synchronized.  All scratch is allocated per call; a cell-direction
+    on generated kernels allocates nothing.  Block offsets are derived
+    from one per pencil by [Field.cell_step]; with [VMDG_BOUNDS_CHECK=1]
+    each is checked against its cell's coordinates
+    ([Field.check_walked_offset]).  With [timers], the phases are timed
+    (fill, volume, surface: lower face, upper ghost face and boundary
+    hooks). *)

@@ -60,7 +60,9 @@ let check_streaming ~cdim ~vdim ~family ~p ~dir =
     let dv = 0.1 +. Random.State.float rng 1.0 in
     let rdx2 = 2.0 /. (0.1 +. Random.State.float rng 1.0) in
     let alpha = Array.make np 0.0 in
-    Flux.streaming_alpha lay ~dir ~vcenter:wv ~dv ~support alpha;
+    (* config dir [dir] streams with velocity dim [dir] *)
+    let vcenter = Array.init vdim (fun k -> if k = dir then wv else 0.0) in
+    Flux.streaming_alpha (Flux.make_stream_ctx lay ~dir ~dv) ~vcenter alpha;
     let out_ref = Array.make np 0.0 and out_gen = Array.make np 0.0 in
     Sparse.apply_t3 vol ~scale:rdx2 alpha f out_ref;
     Gen.stream gen ~wv ~dv ~rdx2 f ~foff:0 out_gen ~ooff:0;

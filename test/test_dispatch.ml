@@ -17,9 +17,11 @@ module Codegen = Dg_codegen.Codegen
 let phase_field (lay : Layout.t) ~ncomp =
   Field.create_phase ~cdim:lay.Layout.cdim lay.Layout.grid ~ncomp
 
-let make_layout ~family ~p ~cdim ~vdim =
+let make_layout ?cells ~family ~p ~cdim ~vdim () =
   let pdim = cdim + vdim in
-  let cells = Array.init pdim (fun d -> if d < cdim then 3 else 3) in
+  let cells =
+    match cells with Some c -> c | None -> Array.make pdim 3
+  in
   let lower = Array.init pdim (fun d -> if d < cdim then 0.0 else -2.0) in
   let upper = Array.init pdim (fun d -> if d < cdim then 1.0 else 2.0) in
   Layout.make ~cdim ~vdim ~family ~poly_order:p
@@ -65,7 +67,7 @@ let check_fields ~rtol msg a b =
 
 (* Dispatched rhs == interpreted rhs, streaming-only and with EM. *)
 let check_config ~family ~p ~cdim ~vdim =
-  let lay = make_layout ~family ~p ~cdim ~vdim in
+  let lay = make_layout ~family ~p ~cdim ~vdim () in
   let np = Layout.num_basis lay in
   let tag =
     Printf.sprintf "%dx%dv p=%d %s" cdim vdim p (Modal.family_name family)
@@ -112,8 +114,8 @@ let field_digest (lay : Layout.t) out =
       done);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let rhs_digest ?(flux = Solver.Upwind) ~family ~p ~cdim ~vdim () =
-  let lay = make_layout ~family ~p ~cdim ~vdim in
+let rhs_digest ?(flux = Solver.Upwind) ?cells ~family ~p ~cdim ~vdim () =
+  let lay = make_layout ?cells ~family ~p ~cdim ~vdim () in
   let s = Solver.create ~flux ~use_kernels:true ~qm:(-2.0) lay in
   let f = random_f ~seed:(100 + (10 * cdim) + vdim) lay in
   let em = random_em ~seed:(200 + p) lay in
@@ -161,13 +163,14 @@ let pinned_central_digests =
     ("2x2v p=2 tensor", "a268ef2d3957d69c38f14fc485684ee3");
   ]
 
-let check_digests ?flux pinned =
+let check_digests ?flux ?cells pinned =
   List.iter
     (fun (family, p, cdim, vdim) ->
       let tag =
         Printf.sprintf "%dx%dv p=%d %s" cdim vdim p (Modal.family_name family)
       in
-      let got = rhs_digest ?flux ~family ~p ~cdim ~vdim () in
+      let cells = Option.map (fun k -> k ~cdim ~vdim) cells in
+      let got = rhs_digest ?flux ?cells ~family ~p ~cdim ~vdim () in
       match List.assoc_opt tag pinned with
       | Some want when want = got -> ()
       | Some want -> Alcotest.failf "%s: rhs digest %s, pinned %s" tag got want
@@ -179,6 +182,152 @@ let test_rhs_digests () = check_digests pinned_rhs_digests
 let test_central_digests () =
   check_digests ~flux:Solver.Central pinned_central_digests
 
+(* The grids where the sweep's boundary cases meet in one cell, pinned
+   with the same seeded upwind rhs.  One cell in the innermost (last
+   velocity) dimension: that cell has no interior lower face there and
+   takes both velocity-domain faces.  One cell in every configuration
+   dimension: both of its faces lie on the ghost layer. *)
+let pinned_thin_velocity_digests =
+  [
+    ("1x1v p=1 serendipity", "66fc8305755f650870c76c87b19037b1");
+    ("1x1v p=2 serendipity", "8ef7f514f7296602d419a777150da808");
+    ("1x2v p=1 serendipity", "6b40693be720f18c75ccf251b067fc22");
+    ("1x2v p=2 serendipity", "342a51043f123e6023563850f018abb5");
+    ("2x2v p=1 serendipity", "641e6c61a5ac7ae345224f267c20fcce");
+    ("2x2v p=2 serendipity", "a3dcf8e6a4ae5ece6da0f9f164a7a865");
+    ("2x3v p=1 serendipity", "2e5905f98e1cb5177d84a1aada8df3d7");
+    ("2x3v p=2 serendipity", "14449a953fb55b928fb923c0074b8eff");
+    ("3x3v p=1 serendipity", "f662673e084bbe2e318f5702f8d8882a");
+    ("1x1v p=1 tensor", "66fc8305755f650870c76c87b19037b1");
+    ("1x1v p=2 tensor", "af4d3d3f5f5317cc3460cefdf954fdba");
+    ("1x2v p=1 tensor", "6b40693be720f18c75ccf251b067fc22");
+    ("1x2v p=2 tensor", "54d586ed7edcdfb6032f783d985624fa");
+    ("2x2v p=1 tensor", "641e6c61a5ac7ae345224f267c20fcce");
+    ("2x2v p=2 tensor", "659dfc8b401c0bb09e1130c651c3ab96");
+  ]
+
+let pinned_thin_config_digests =
+  [
+    ("1x1v p=1 serendipity", "248269c484dff1846f574d79f9546727");
+    ("1x1v p=2 serendipity", "e057538efce3e1d19a823ca049c85232");
+    ("1x2v p=1 serendipity", "b0fc9ccfee3ee1ae132ed85260daafb0");
+    ("1x2v p=2 serendipity", "fd8dfe8ccf4cb5f1a785a1c11e2b868d");
+    ("2x2v p=1 serendipity", "45d928101e74a5a01e50b7f00bf7cfc0");
+    ("2x2v p=2 serendipity", "a0d6d812befca9723f4285a7fccf3e6d");
+    ("2x3v p=1 serendipity", "e35afa37b7b382c5df715b5b967e46e7");
+    ("2x3v p=2 serendipity", "7d5f029c7455656adb38d38bb9796c26");
+    ("3x3v p=1 serendipity", "0fcf84160ea200f9fbb5adc8712da6e5");
+    ("1x1v p=1 tensor", "248269c484dff1846f574d79f9546727");
+    ("1x1v p=2 tensor", "8e1437b388131b06725c5a8436bec3d6");
+    ("1x2v p=1 tensor", "b0fc9ccfee3ee1ae132ed85260daafb0");
+    ("1x2v p=2 tensor", "e7ec751ab74e76b100c0730dde2ff884");
+    ("2x2v p=1 tensor", "45d928101e74a5a01e50b7f00bf7cfc0");
+    ("2x2v p=2 tensor", "f525633556fd408920cb5c82aa1e8ad8");
+  ]
+
+let test_thin_grid_digests () =
+  (* one cell in the dimensions [thin] picks, three elsewhere *)
+  let cells thin ~cdim ~vdim =
+    Array.init (cdim + vdim) (fun d -> if thin ~cdim ~vdim d then 1 else 3)
+  in
+  check_digests
+    ~cells:(cells (fun ~cdim ~vdim d -> d = cdim + vdim - 1))
+    pinned_thin_velocity_digests;
+  check_digests
+    ~cells:(cells (fun ~cdim ~vdim:_ d -> d < cdim))
+    pinned_thin_config_digests
+
+(* A warm rhs on the generated path allocates the same number of minor
+   words whatever the cell count: the sweep's scratch is per call, and
+   nothing is allocated per cell or per cell-direction. *)
+let test_constant_alloc () =
+  let words ~flux ~family ~p ~cdim ~vdim cells =
+    let lay = make_layout ~cells ~family ~p ~cdim ~vdim () in
+    let s = Solver.create ~flux ~qm:(-2.0) lay in
+    let f = random_f lay and em = random_em lay in
+    let out = phase_field lay ~ncomp:(Layout.num_basis lay) in
+    Solver.rhs s ~f ~em:(Some em) ~out;
+    let w0 = Gc.minor_words () in
+    Solver.rhs s ~f ~em:(Some em) ~out;
+    Gc.minor_words () -. w0
+  in
+  let grid cells =
+    String.concat "x" (Array.to_list (Array.map string_of_int cells))
+  in
+  List.iter
+    (fun (family, p, cdim, vdim, small, large) ->
+      List.iter
+        (fun (flux, name) ->
+          let a = words ~flux ~family ~p ~cdim ~vdim small
+          and b = words ~flux ~family ~p ~cdim ~vdim large in
+          if a <> b then
+            Alcotest.failf
+              "%dx%dv p=%d %s %s rhs: %.0f minor words on %s, %.0f on %s"
+              cdim vdim p (Modal.family_name family) name a (grid small) b
+              (grid large))
+        [ (Solver.Upwind, "upwind"); (Solver.Central, "central") ])
+    [
+      (Modal.Serendipity, 1, 2, 2, [| 4; 4; 8; 8 |], [| 4; 4; 16; 16 |]);
+      (Modal.Serendipity, 2, 1, 1, [| 16; 24 |], [| 32; 48 |]);
+    ]
+
+(* solver.ml's promise that block-local fields reuse the solver: the rhs
+   of each block of a configuration-split field, after the halo exchange,
+   is the global rhs on that block.  The block grids' extents are rebuilt
+   from the global cell width, so their dx may differ in the last bits:
+   agreement is to a few ulps of max|out|. *)
+let test_decomp_blocks () =
+  let module Decomp = Dg_par.Decomp in
+  List.iter
+    (fun (family, p, cdim, vdim, cells, blocks_per_dim) ->
+      let lay = make_layout ~cells ~family ~p ~cdim ~vdim () in
+      let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
+      let s = Solver.create ~qm:(-2.0) lay in
+      let f = random_f lay and em = random_em lay in
+      let out = phase_field lay ~ncomp:np in
+      Solver.rhs s ~f ~em:(Some em) ~out;
+      let maxabs = ref 0.0 in
+      Grid.iter_cells lay.Layout.grid (fun _ c ->
+          for k = 0 to np - 1 do
+            maxabs := Float.max !maxabs (Float.abs (Field.get out c k))
+          done);
+      let tol = 4.0 *. epsilon_float *. !maxabs in
+      let d =
+        Decomp.make ~global:lay.Layout.grid ~cdim ~blocks_per_dim ~ncomp:np
+      in
+      Decomp.scatter d ~src:f;
+      ignore (Decomp.exchange_halos d);
+      Array.iter
+        (fun (b : Decomp.block) ->
+          let global lc =
+            Array.mapi
+              (fun i v -> if i < cdim then v + b.Decomp.offset.(i) else v)
+              lc
+          in
+          let cg = Grid.prefix b.Decomp.local_grid cdim in
+          let emb = Field.create cg ~ncomp:(8 * nc) in
+          Grid.iter_cells cg (fun _ lc ->
+              for k = 0 to (8 * nc) - 1 do
+                Field.set emb lc k (Field.get em (global lc) k)
+              done);
+          let outb = Field.create_phase ~cdim b.Decomp.local_grid ~ncomp:np in
+          Solver.rhs s ~f:b.Decomp.field ~em:(Some emb) ~out:outb;
+          Grid.iter_cells b.Decomp.local_grid (fun _ lc ->
+              let gc = global lc in
+              for k = 0 to np - 1 do
+                let got = Field.get outb lc k and want = Field.get out gc k in
+                if Float.abs (got -. want) > tol then
+                  Alcotest.failf
+                    "%dx%dv p=%d block %d coeff %d: %.17g, global %.17g \
+                     (tol %.3g)"
+                    cdim vdim p b.Decomp.id k got want tol
+              done))
+        d.Decomp.blocks)
+    [
+      (Modal.Serendipity, 1, 2, 2, [| 4; 4; 3; 3 |], [| 2; 2 |]);
+      (Modal.Serendipity, 2, 1, 2, [| 6; 3; 4 |], [| 3 |]);
+    ]
+
 (* The Dougherty drift runs the interpreted face flux with a lower-face
    flux expansion of its own (the sweep's [face_alpha] hook, which no
    other operator uses): one seeded Lbo.rhs on 1X2V p=2 Serendipity,
@@ -186,7 +335,7 @@ let test_central_digests () =
    average, so every cell is realizable and no floor is taken. *)
 let test_lbo_digest () =
   let module Lbo = Dg_collisions.Lbo in
-  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 in
+  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 () in
   let np = Layout.num_basis lay in
   let rng = Random.State.make [| 57 |] in
   let f = phase_field lay ~ncomp:np in
@@ -209,7 +358,7 @@ let test_lbo_digest () =
 (* A configuration the registry does not cover must fall back to the
    interpreted path with no behavioural difference. *)
 let test_fallback_config () =
-  let lay = make_layout ~family:Modal.Maximal_order ~p:1 ~cdim:1 ~vdim:2 in
+  let lay = make_layout ~family:Modal.Maximal_order ~p:1 ~cdim:1 ~vdim:2 () in
   let np = Layout.num_basis lay in
   let sd = Solver.create ~use_kernels:true ~qm:1.0 lay in
   Alcotest.(check bool)
@@ -225,12 +374,12 @@ let test_fallback_config () =
   check_fields ~rtol:0.0 "maximal-order fallback" out_d out_i
 
 let test_specialized_dirs () =
-  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 in
+  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 () in
   let s = Solver.create ~qm:1.0 lay in
   Alcotest.(check bool)
     "1x2v p2 ser fully specialized" true
     (Array.for_all Fun.id (Solver.specialized_dirs s));
-  let lay22 = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 in
+  let lay22 = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 () in
   Alcotest.(check (array bool))
     "2x2v p2 tensor fully specialized" [| true; true; true; true |]
     (Solver.specialized_dirs (Solver.create ~qm:1.0 lay22));
@@ -244,7 +393,7 @@ let test_specialized_dirs () =
 let test_standard_configs_dispatched () =
   List.iter
     (fun (family, p, cdim, vdim) ->
-      let lay = make_layout ~family ~p ~cdim ~vdim in
+      let lay = make_layout ~family ~p ~cdim ~vdim () in
       let s = Solver.create ~use_kernels:true ~qm:(-1.0) lay in
       Array.iteri
         (fun dir sp ->
@@ -268,7 +417,7 @@ let test_standard_configs_dispatched () =
    two solvers' samples alternate, so load from concurrently running
    suites lands on both medians alike. *)
 let test_generated_never_loses () =
-  let lay = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 in
+  let lay = make_layout ~family:Modal.Tensor ~p:2 ~cdim:2 ~vdim:2 () in
   let np = Layout.num_basis lay in
   let sg = Solver.create ~use_kernels:true ~qm:1.0 lay in
   let si = Solver.create ~use_kernels:false ~qm:1.0 lay in
@@ -297,7 +446,7 @@ let test_fallback_counters () =
   let module Obs = Dg_obs.Obs in
   Obs.enable ();
   Obs.reset ();
-  let lay22 = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:2 ~vdim:2 in
+  let lay22 = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:2 ~vdim:2 () in
   let s22 = Solver.create ~qm:1.0 lay22 in
   Alcotest.(check (float 0.0))
     "all four dirs specialized at create" 4.0
@@ -328,7 +477,7 @@ let test_fallback_counters () =
 
 (* Repeated sweeps and interleaved max_speeds must not perturb rhs. *)
 let test_workspace_reentrant () =
-  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 in
+  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:1 ~vdim:2 () in
   let np = Layout.num_basis lay in
   let s = Solver.create ~qm:(-1.0) lay in
   let f = random_f lay and em = random_em lay in
@@ -357,7 +506,7 @@ let qcheck_chunked_equivalence =
       (fun (seed, tensor, upwind) ->
         let family = if tensor then Modal.Tensor else Modal.Serendipity in
         let flux = if upwind then Solver.Upwind else Solver.Central in
-        let lay = make_layout ~family ~p:2 ~cdim:2 ~vdim:2 in
+        let lay = make_layout ~family ~p:2 ~cdim:2 ~vdim:2 () in
         let np = Layout.num_basis lay in
         let sd = Solver.create ~flux ~use_kernels:true ~qm:(-2.0) lay in
         let si = Solver.create ~flux ~use_kernels:false ~qm:(-2.0) lay in
@@ -383,7 +532,7 @@ let qcheck_chunked_equivalence =
 let test_zero_copy_bitwise () =
   List.iter
     (fun family ->
-      let lay = make_layout ~family ~p:2 ~cdim:2 ~vdim:2 in
+      let lay = make_layout ~family ~p:2 ~cdim:2 ~vdim:2 () in
       let np = Layout.num_basis lay in
       let pdim = lay.Layout.pdim in
       let f = random_f ~seed:9 lay in
@@ -438,7 +587,7 @@ let test_zero_copy_bitwise () =
    chunked in-place 2x2v p2 path: concurrent zero-copy writes into
    distinct output fields must not interfere. *)
 let test_concurrent_sweeps () =
-  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:2 ~vdim:2 in
+  let lay = make_layout ~family:Modal.Serendipity ~p:2 ~cdim:2 ~vdim:2 () in
   let np = Layout.num_basis lay in
   let s = Solver.create ~qm:(-1.0) lay in
   let em = random_em lay in
@@ -498,6 +647,11 @@ let () =
           Alcotest.test_case "central-flux rhs digests" `Quick
             test_central_digests;
           Alcotest.test_case "Lbo.rhs digest" `Quick test_lbo_digest;
+          Alcotest.test_case "thin-grid rhs digests" `Quick
+            test_thin_grid_digests;
+          Alcotest.test_case "constant allocation" `Quick test_constant_alloc;
+          Alcotest.test_case "decomposition blocks reuse the solver" `Quick
+            test_decomp_blocks;
           Alcotest.test_case "unsupported config falls back" `Quick
             test_fallback_config;
           Alcotest.test_case "specialized_dirs reporting" `Quick

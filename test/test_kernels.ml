@@ -368,18 +368,20 @@ let test_streaming_alpha () =
   let lay = make_layout ~cdim:1 ~vdim:2 ~family:Modal.Serendipity ~p:2 in
   let basis = lay.Layout.basis in
   let np = Modal.num_basis basis in
-  let support = Tensors.streaming_support lay ~dir:0 in
   let alpha = Array.make np 0.0 in
-  let vcenter = 1.5 and dv = 0.5 in
-  Flux.streaming_alpha lay ~dir:0 ~vcenter ~dv ~support alpha;
+  let dv = 0.5 in
+  let s = Flux.make_stream_ctx lay ~dir:0 ~dv in
+  (* the paired velocity of config dir 0 is the first velocity dim *)
+  let vcenter = [| 1.5; -0.25 |] in
+  Flux.streaming_alpha s ~vcenter alpha;
   let rng = Random.State.make [| 11 |] in
   for _ = 1 to 20 do
     let xi = Array.init 3 (fun _ -> Random.State.float rng 2.0 -. 1.0) in
     (* paired velocity dim for config dir 0 is phase dim 1 *)
-    let v = vcenter +. (0.5 *. dv *. xi.(1)) in
+    let v = vcenter.(0) +. (0.5 *. dv *. xi.(1)) in
     check_close "streaming alpha eval" v (Modal.eval_expansion basis alpha xi)
   done;
-  check_close "max speed" 1.75 (Flux.streaming_max_speed ~vcenter ~dv)
+  check_close "max speed" 1.75 (Flux.streaming_max_speed s ~vcenter)
 
 (* The acceleration projection reproduces q/m (E + v x B) pointwise when the
    fields are representable. *)

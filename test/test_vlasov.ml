@@ -214,10 +214,9 @@ let four_tensor_rhs (lay : Layout.t) ~flux ~qm ~(f : Field.t) ~(em : Field.t)
         let lam =
           match ctx with
           | None ->
-              let dv = (Grid.dx vg).(dir) in
-              Flux.streaming_alpha lay ~dir ~vcenter:vcenter.(dir) ~dv ~support
-                alpha;
-              Flux.streaming_max_speed ~vcenter:vcenter.(dir) ~dv
+              let s = Flux.make_stream_ctx lay ~dir ~dv:(Grid.dx vg).(dir) in
+              Flux.streaming_alpha s ~vcenter alpha;
+              Flux.streaming_max_speed s ~vcenter
           | Some ctx ->
               let cc = Array.sub c 0 cdim in
               Flux.accel_alpha ctx ~em:(Field.data em)
