@@ -413,7 +413,9 @@ let serve_cmd =
     Arg.(
       value & opt (int_in 1) 2
       & info [ "concurrency"; "j" ] ~docv:"N"
-          ~doc:"Worker-slot budget shared by all running jobs.")
+          ~doc:
+            "Slots: at most $(docv) job slices run at once, one per slot (a \
+             slot whose slice hangs is quarantined for the rest of the run).")
   in
   let slice_wall_t =
     Arg.(

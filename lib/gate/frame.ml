@@ -11,7 +11,7 @@
    frame half-delivered ([Mid_frame]) — the chaos harness injects both
    and the server counts them separately. *)
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Unix_sock of string
 
 type error =
   | Idle  (* no frame began within the idle window *)
@@ -30,19 +30,6 @@ let error_to_string = function
   | Io m -> m
 
 let max_frame_bytes = Dg_serve.Job.max_file_bytes
-
-let sockaddr = function
-  | Unix_sock path -> Unix.ADDR_UNIX path
-  | Tcp (host, port) ->
-      let ip =
-        try Unix.inet_addr_of_string host
-        with Failure _ -> (
-          match Unix.gethostbyname host with
-          | { Unix.h_addr_list = [||]; _ } ->
-              raise (Unix.Unix_error (Unix.EHOSTUNREACH, "gethostbyname", host))
-          | h -> h.Unix.h_addr_list.(0))
-      in
-      Unix.ADDR_INET (ip, port)
 
 (* Arm the socket timeout with the budget left until [deadline].  A zero
    SO_RCVTIMEO means "block forever", so the remaining budget is floored
@@ -121,20 +108,14 @@ let write_frame ~budget fd payload =
     write_from fd buf 0 (4 + len) ~deadline:(Unix.gettimeofday () +. budget)
   end
 
-let connect ?(deadline = 5.0) addr =
+let connect ?(deadline = 5.0) (Unix_sock path) =
   match
-    let sa = sockaddr addr in
-    let domain = Unix.domain_of_sockaddr sa in
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO deadline;
-      Unix.connect fd sa
+      Unix.connect fd (Unix.ADDR_UNIX path)
     with
-    | () ->
-        (match addr with
-        | Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-        | Unix_sock _ -> ());
-        Ok fd
+    | () -> Ok fd
     | exception e ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         raise e
@@ -144,18 +125,14 @@ let connect ?(deadline = 5.0) addr =
       Error Timeout
   | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
 
-let listen ?(backlog = 16) addr =
-  let sa = sockaddr addr in
-  (match addr with
-  | Unix_sock path when Sys.file_exists path -> (
-      (* assume a stale socket from a dead server — the engine owns its
-         root directory, so two live servers on one path is operator error *)
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-  | _ -> ());
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+let listen ?(backlog = 16) (Unix_sock path) =
+  (* assume a stale socket from a dead server — the engine owns its root
+     directory, so two live servers on one path is operator error *)
+  (if Sys.file_exists path then
+     try Unix.unlink path with Unix.Unix_error _ -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd sa;
+     Unix.bind fd (Unix.ADDR_UNIX path);
      Unix.listen fd backlog
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());

@@ -1,10 +1,10 @@
-(** Wire framing for the gate: 4-byte big-endian length prefix + payload
-    bytes, length capped at {!max_frame_bytes} (the spool-file cap, 64
-    KiB).  All IO is deadline-bounded (SO_RCVTIMEO / SO_SNDTIMEO re-armed
+(** Wire framing for the gate over a Unix-domain stream socket: 4-byte
+    big-endian length prefix + payload bytes, length capped at
+    {!max_frame_bytes} (the spool-file cap, 64 KiB).  All IO is deadline-bounded (SO_RCVTIMEO / SO_SNDTIMEO re-armed
     with the remaining budget before every syscall) so a peer that stops
     mid-frame can never wedge the other side. *)
 
-type addr = Unix_sock of string | Tcp of string * int
+type addr = Unix_sock of string  (** the socket's path *)
 
 type error =
   | Idle  (** no frame began within the idle window *)
@@ -35,9 +35,9 @@ val write_frame : budget:float -> Unix.file_descr -> string -> (unit, error) res
 (** Write one frame (header + payload) within [budget] seconds. *)
 
 val connect : ?deadline:float -> addr -> (Unix.file_descr, error) result
-(** Blocking connect ([deadline], default 5 s, bounds TCP sends too);
-    sets TCP_NODELAY on TCP sockets. *)
+(** Blocking connect; [deadline] (default 5 s) also bounds the socket's
+    sends until a frame call re-arms it. *)
 
 val listen : ?backlog:int -> addr -> Unix.file_descr
-(** Bind + listen; unlinks a stale Unix-socket path first.
+(** Bind + listen; unlinks a stale socket at the path first.
     @raise Unix.Unix_error when the address cannot be bound. *)

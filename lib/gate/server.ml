@@ -264,10 +264,8 @@ let stop t =
     (* accept loop first: no new connections can register after this *)
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (match t.cfg.addr with
-    | Frame.Unix_sock path -> (
-        try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-    | Frame.Tcp _ -> ());
+    (let (Frame.Unix_sock path) = t.cfg.addr in
+     try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ());
     (* RECEIVE-only shutdown: blocked reads wake with EOF, but a handler
        mid-response still flushes its write before exiting *)
     let ths =

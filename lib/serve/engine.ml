@@ -1,5 +1,6 @@
 (* The job engine: runs a queue of [Job.t] simulations concurrently on a
-   bounded worker budget, with checkpoint-based preemption.
+   fixed number of slots, one per running slice, with checkpoint-based
+   preemption.
 
    Core and shell.  Every scheduling decision — admission, launch,
    preemption, the requeue-or-finish ladder, the watchdog, drain — is made
@@ -8,7 +9,8 @@
    carrying the clock and each running slice's progress and heartbeat) and
    performs the actions that come back — spawning and stopping slice
    domains, writing the status stream, bumping counters, answering the
-   gate, renaming spool files.
+   gate, renaming spool files.  Status, whether for the gate, the
+   periodic ["server"] record or SIGUSR1, is rendered by [Sched] too.
 
    Each running job runs one SLICE at a time in its own domain.  A slice is
    an ordinary [Job.run] call under a per-slice [Supervisor]
@@ -220,8 +222,8 @@ let run ?(jobs = []) ?supervisor cfg =
             in
             let on_step app =
               let n = App.nsteps app and t = App.time app in
-              (* every step: the preemption guard's probe and the SIGUSR1
-                 renderer read this *)
+              (* every step: the scheduler's probes read this (the
+                 preemption guard, status replies, the SIGUSR1 dump) *)
               Atomic.set progress (n, t);
               if n mod cfg.progress_every = 0 then
                 emit "progress"
@@ -291,7 +293,8 @@ let run ?(jobs = []) ?supervisor cfg =
             let id = j.job.Job.id in
             Option.map
               (fun s : Sched.probe ->
-                { id; slice = r.slice; steps = fst (Atomic.get s.progress);
+                let steps, time = Atomic.get s.progress in
+                { id; slice = r.slice; steps; time;
                   heartbeat = Atomic.get s.heartbeat })
               (Hashtbl.find_opt slices (id, r.slice))
         | _ -> None)
@@ -364,53 +367,20 @@ let run ?(jobs = []) ?supervisor cfg =
   let process_intake () =
     Option.iter
       (fun ik ->
-        List.iter
-          (fun (req, reply) ->
-            step ~reply (Sched.Request { now = Unix.gettimeofday (); req }))
-          (Intake.take_all ik))
+        match Intake.take_all ik with
+        | [] -> ()
+        | reqs ->
+            let probes = probes () in
+            List.iter
+              (fun (req, reply) ->
+                step ~reply
+                  (Sched.Request { now = Unix.gettimeofday (); probes; req }))
+              reqs)
       cfg.intake
   in
 
-  (* multi-job SIGUSR1 status renderer on the server supervisor *)
   Supervisor.set_status sup (fun () ->
-      let s = !st in
-      let t = Sched.tally s in
-      let running = Sched.running s and depth = List.length (Sched.queued s) in
-      let b = Buffer.create 256 in
-      let line fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      line "serve: %d running, %d queued, %d done, %d failed, %d drained, \
-            elapsed %.1fs"
-        (List.length running) depth t.done_ t.failed t.drained
-        (Unix.gettimeofday () -. started);
-      line "\n  gauges: serve.queue_depth=%d serve.inflight_jobs=%d \
-            (admit watermark %d)"
-        depth (List.length running) cfg.admit_watermark;
-      if Sched.hangs_detected s > 0 || Sched.rejects s > 0 || Sched.stuck s > 0
-      then
-        line "\n  watchdog: %d hangs detected, %d slots quarantined \
-              (%d slices stuck); admission: %d rejects"
-          (Sched.hangs_detected s)
-          (cfg.concurrency - Sched.total s)
-          (Sched.stuck s) (Sched.rejects s);
-      List.iter
-        (fun (j : Sched.job) ->
-          match j.phase with
-          | Sched.Running r ->
-              let steps, time =
-                match Hashtbl.find_opt slices (j.job.Job.id, r.slice) with
-                | Some sl -> Atomic.get sl.progress
-                | None -> (j.steps, j.sim_time)
-              in
-              line "\n  %-16s running  step=%-8d t=%-10.4g slice=%d prio=%d"
-                j.job.Job.id steps time j.slices j.job.Job.priority
-          | _ -> ())
-        running;
-      List.iter
-        (fun (j : Sched.job) ->
-          line "\n  %-16s queued   step=%-8d prio=%d" j.job.Job.id j.steps
-            j.job.Job.priority)
-        (Sched.queued s);
-      Buffer.contents b);
+      Sched.status_dump !st ~now:(Unix.gettimeofday ()) ~probes:(probes ()));
 
   (* --- main loop --- *)
   List.iter (fun j -> step (Sched.Submit (j, Sched.Initial))) jobs;
@@ -428,25 +398,13 @@ let run ?(jobs = []) ?supervisor cfg =
     apply_reports ();
     process_intake ();
     step (Sched.Admit { now = Unix.gettimeofday () });
-    let depth = List.length (Sched.queued !st)
-    and inflight = List.length (Sched.running !st) in
-    Obs.gauge "serve.queue_depth" (float_of_int depth);
-    Obs.gauge "serve.inflight_jobs" (float_of_int inflight);
+    Obs.gauge "serve.queue_depth" (float_of_int (List.length (Sched.queued !st)));
+    Obs.gauge "serve.inflight_jobs"
+      (float_of_int (List.length (Sched.running !st)));
     let now = Unix.gettimeofday () in
     if now -. !last_status > cfg.status_every then begin
       last_status := now;
-      let t = Sched.tally !st in
-      emit "server"
-        [ ("event", Json.Str "tick");
-          ("running", Json.Int inflight);
-          ("queued", Json.Int depth);
-          ("done", Json.Int t.done_); ("failed", Json.Int t.failed);
-          ("drained", Json.Int t.drained); ("steps", Json.Int t.steps);
-          ("elapsed_s", Json.Float (now -. started));
-          ("gauges",
-           Json.Obj
-             [ ("serve.queue_depth", Json.Float (float_of_int depth));
-               ("serve.inflight_jobs", Json.Float (float_of_int inflight)) ]) ]
+      emit "server" (("event", Json.Str "tick") :: Sched.server_status !st ~now)
     end;
     if not (finished ()) then Unix.sleepf cfg.poll_interval
   done;

@@ -1,14 +1,17 @@
-(** The job engine: runs a queue of {!Job.t} simulations concurrently on a
-    bounded worker budget with checkpoint-based preemption.
+(** The job engine: runs a queue of {!Job.t} simulations concurrently on
+    [concurrency] slots, one per running slice, with checkpoint-based
+    preemption.
 
     {b Core and shell.}  Every scheduling decision is made by {!Sched}, a
     pure, deterministic state machine ([state -> event -> state * action
     list]).  [run] is its IO shell: it spawns and joins slice domains,
     carries their reports through a mailbox, scans the spool, serves the
-    gate's {!Intake}, writes the status stream and gauges, renders SIGUSR1
-    status and polls the server supervisor — feeding each of these to the
-    core as an event (clock readings and slice heartbeats included) and
-    performing the actions it returns.
+    gate's {!Intake}, writes the status stream and gauges and polls the
+    server supervisor — feeding each of these to the core as an event
+    (clock readings and slice progress and heartbeats included) and
+    performing the actions it returns.  Every status view — the gate's
+    replies, the periodic ["server"] record, the SIGUSR1 dump — is
+    {!Sched}'s rendering.
 
     Each admitted job runs one {i slice} at a time in its own domain — an
     ordinary {!Job.run} call under a per-slice supervisor that
@@ -23,8 +26,8 @@
     {b Hung slices.}  Every slice publishes a heartbeat the stepper bumps
     after each RHS stage; a heartbeat stalled past [slice_deadline] marks
     a poisoned slice.  Since a domain cannot be force-terminated, the
-    slice's worker slots are permanently {e quarantined} (the budget
-    shrinks), the domain is parked, and the job is requeued from its last
+    slice's slot is permanently {e quarantined} (one slot fewer for the
+    rest of the run), the domain is parked, and the job is requeued from its last
     valid checkpoint up to [hang_retries] times before the tier-3 verdict
     — sibling jobs are unaffected, and a quarantined domain that
     eventually wakes up is joined and discarded via its stale report.
@@ -37,18 +40,20 @@
     next scan instead of being rejected. *)
 
 type config = {
-  concurrency : int;  (** worker-slot budget shared by all running jobs *)
+  concurrency : int;  (** slots: at most this many slices run at once *)
   slice_wall : float;
       (** seconds a slice may run before it is preempted {i when other
           jobs are waiting}; a lone job runs uninterrupted *)
   slice_deadline : float;
       (** seconds a slice's heartbeat may stall before the watchdog
-          declares it hung and quarantines its worker slots; must comfortably
+          declares it hung and quarantines its slot; must comfortably
           exceed app construction plus one RK stage *)
   poll_interval : float;  (** scheduler poll period (seconds) *)
   status_path : string option;  (** JSONL status stream (None = silent) *)
   status_append : bool;  (** append instead of truncate (server restarts) *)
-  status_every : float;  (** seconds between aggregate ["server"] records *)
+  status_every : float;
+      (** seconds between periodic ["server"] records
+          ([Sched.server_status] with ["event": "tick"]) *)
   progress_every : int;  (** steps between per-job ["progress"] records *)
   root : string;  (** checkpoint root; jobs live in [root/jobs/<id>/] *)
   spool : string option;
@@ -118,7 +123,7 @@ type summary = {
   cache_misses : int;
   watchdog_hangs : int;  (** hung slices detected by the watchdog *)
   slots_quarantined : int;
-      (** worker slots permanently surrendered to stuck domains *)
+      (** slots permanently surrendered to stuck domains *)
   admission_rejects : int;
       (** jobs refused at admission (bad spool files, duplicate ids) *)
   stopped : string option;  (** why the server drained, [None] if idle-exit *)
@@ -128,8 +133,8 @@ val run : ?jobs:Job.t list -> ?supervisor:Dg_resilience.Supervisor.t -> config -
 (** Run [jobs] (plus anything the spool delivers) to completion and return
     the summary.  [supervisor] is the server's own: install it for signal
     handling in a CLI, or keep it handler-less and call [request_stop]
-    from a test; the engine installs a multi-job SIGUSR1 status renderer
-    on it.  Duplicate job ids are rejected (counted in the status stream),
+    from a test; the engine installs {!Sched.status_dump} on it as the
+    SIGUSR1 renderer.  Duplicate job ids are rejected (counted in the status stream),
     not fatal.
     @raise Invalid_argument on a nonsensical config. *)
 

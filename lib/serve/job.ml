@@ -20,7 +20,6 @@ type t = {
   cfl : float;
   max_steps : int;
   max_wall : float option;
-  workers : int;
   checkpoint_every : int;
   keep_last : int option;
   check_every : int;
@@ -63,7 +62,6 @@ let validate j =
   | Some w when not (Float.is_finite w && w > 0.0) ->
       fail "max_wall must be > 0"
   | _ -> ());
-  if j.workers < 1 then fail "workers must be >= 1";
   if j.checkpoint_every < 0 then fail "checkpoint_every must be >= 0";
   (match j.keep_last with
   | Some k when k < 1 -> fail "keep_last must be >= 1"
@@ -89,7 +87,7 @@ let registry_defaults scenario =
        e.Scenarios.tend)
 
 let make ?(priority = 0) ?cells_x ?cells_v ?poly_order ?tend ?(cfl = 0.9)
-    ?(max_steps = 1_000_000) ?max_wall ?(workers = 1) ?(checkpoint_every = 25)
+    ?(max_steps = 1_000_000) ?max_wall ?(checkpoint_every = 25)
     ?keep_last ?(check_every = 10) ?(max_retries = 8) ?(max_restores = 1)
     ?(crash_retries = 1) ?(hang_retries = 1) ?(positivity = `Off)
     ?fault_nan_step ?fault_neg_step ?fault_crash_step ?fault_hang_step
@@ -112,7 +110,6 @@ let make ?(priority = 0) ?cells_x ?cells_v ?poly_order ?tend ?(cfl = 0.9)
       cfl;
       max_steps;
       max_wall;
-      workers;
       checkpoint_every;
       keep_last;
       check_every;
@@ -152,7 +149,7 @@ let reject fmt = Printf.ksprintf (fun m -> raise (Reject m)) fmt
 let known_fields =
   [
     "id"; "scenario"; "priority"; "cells"; "p"; "tend"; "cfl"; "max_steps";
-    "max_wall"; "workers"; "checkpoint_every"; "keep_last"; "check_every";
+    "max_wall"; "checkpoint_every"; "keep_last"; "check_every";
     "max_retries"; "max_restores"; "crash_retries"; "hang_retries";
     "positivity"; "fault_nan_step"; "fault_neg_step"; "fault_crash_step";
     "fault_hang_step"; "fault_hang_s"; "fault_ckpt_enospc";
@@ -270,7 +267,6 @@ let of_json_result ?id json =
         ?cfl:(float_in "cfl" ~min:1e-6 ~max:1.0)
         ?max_steps:(int_in "max_steps" ~min:1 ~max:1_000_000_000)
         ?max_wall:(float_in "max_wall" ~min:1e-3 ~max:1e7)
-        ?workers:(int_in "workers" ~min:1 ~max:256)
         ?checkpoint_every:(int_in "checkpoint_every" ~min:0 ~max:1_000_000)
         ?keep_last:(int_in "keep_last" ~min:1 ~max:1_000_000)
         ?check_every:(int_in "check_every" ~min:1 ~max:1_000_000)
@@ -395,7 +391,6 @@ let to_json j =
        ("p", Json.Int j.poly_order);
        ("tend", Json.Float j.tend);
        ("max_steps", Json.Int j.max_steps);
-       ("workers", Json.Int j.workers);
      ]
     @ (match j.max_wall with
       | Some w -> [ ("max_wall", Json.Float w) ]
@@ -423,7 +418,6 @@ let to_json_full j =
        ("tend", Json.Float j.tend);
        ("cfl", Json.Float j.cfl);
        ("max_steps", Json.Int j.max_steps);
-       ("workers", Json.Int j.workers);
        ("checkpoint_every", Json.Int j.checkpoint_every);
        ("check_every", Json.Int j.check_every);
        ("max_retries", Json.Int j.max_retries);

@@ -17,7 +17,6 @@ type t = {
   max_steps : int;
   max_wall : float option;
       (** per-job wall budget, summed over slices (parked time free) *)
-  workers : int;  (** worker slots charged against the engine budget *)
   checkpoint_every : int;
       (** periodic checkpoint cadence K (0 = only stops): a checkpoint is
           written at the first healthy health-check window at least K
@@ -54,7 +53,6 @@ val make :
   ?cfl:float ->
   ?max_steps:int ->
   ?max_wall:float ->
-  ?workers:int ->
   ?checkpoint_every:int ->
   ?keep_last:int ->
   ?check_every:int ->
@@ -76,7 +74,7 @@ val make :
   t
 (** Defaults: the scenario registry entry's cells, poly order and end
     time (its golden resolution), priority 0, cfl 0.9, max_steps
-    1e6, no wall cap, 1 worker, checkpoint every 25 steps, health check
+    1e6, no wall cap, checkpoint every 25 steps, health check
     every 10, retries 8 / restores 1 / crash retries 1 / hang retries 1,
     positivity off, no faults.
     @raise Invalid_argument on out-of-range fields (see {!validate}). *)
@@ -89,7 +87,7 @@ val of_json_result : ?id:string -> Dg_obs.Obs.Json.t -> (t, string) result
     bytes become a job.  [id] is the fallback when the object has no
     ["id"] member (the spool scanner passes the file's basename).
     Recognized keys: [id, scenario, priority, cells (as [nx, nv]), p,
-    tend, cfl, max_steps, max_wall, workers, checkpoint_every, keep_last,
+    tend, cfl, max_steps, max_wall, checkpoint_every, keep_last,
     check_every, max_retries, max_restores, crash_retries, hang_retries,
     positivity ("off" | "detect" | "repair"), fault_nan_step,
     fault_neg_step, fault_crash_step, fault_hang_step, fault_hang_s,

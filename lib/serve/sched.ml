@@ -18,7 +18,7 @@ type config = {
   total : int; slice_wall : float; slice_deadline : float; admit_watermark : int;
 }
 
-type slice = { slice : int; started_at : float; start_steps : int; workers : int }
+type slice = { slice : int; started_at : float; start_steps : int }
 type phase = Queued | Running of slice | Ended of outcome
 
 type job = {
@@ -34,13 +34,15 @@ type report = {
   wall : float; dof : float;
 }
 
-type probe = { id : string; slice : int; steps : int; heartbeat : float }
+type probe = {
+  id : string; slice : int; steps : int; time : float; heartbeat : float;
+}
 type origin = Initial | Spool of string
 
 type event =
   | Submit of Job.t * origin
   | Invalid of { path : string; id : string; why : string }
-  | Request of { now : float; req : Intake.request }
+  | Request of { now : float; probes : probe list; req : Intake.request }
   | Tick of { now : float; probes : probe list }
   | Report of report
   | Admit of { now : float }
@@ -63,8 +65,7 @@ type t = {
   ready : string Jobq.t;
   live : string list;  (* running job ids, most recently launched first *)
   quarantined : (string * int) list;  (* (id, slice) parked for good *)
-  total : int;  (* the worker budget: slots left, and slots free *)
-  available : int;
+  total : int;  (* slots left; each running slice holds one *)
   next_seq : int;
   draining : string option;
   rejects : int;
@@ -73,7 +74,7 @@ type t = {
 
 let create cfg ~now =
   { cfg; started = now; table = SMap.empty; order = []; ready = Jobq.empty;
-    live = []; quarantined = []; total = cfg.total; available = cfg.total;
+    live = []; quarantined = []; total = cfg.total;
     next_seq = 0; draining = None; rejects = 0; hangs_detected = 0 }
 
 (* --- views ------------------------------------------------------------------ *)
@@ -87,7 +88,6 @@ let total st = st.total
 let draining st = st.draining
 let rejects st = st.rejects
 let hangs_detected st = st.hangs_detected
-let stuck st = List.length st.quarantined
 
 let finished st ~exit_on_idle =
   st.live = []
@@ -120,35 +120,68 @@ let job_fields (j : job) =
     ("wall_s", Json.Float j.consumed);
   ]
 
-let state_string (j : job) =
+let probe_of probes id (r : slice) =
+  List.find_opt (fun (p : probe) -> p.id = id && p.slice = r.slice) probes
+
+(* --- status: the one rendering of the gate's replies, the periodic
+   ["server"] record and the SIGUSR1 dump ------------------------------------ *)
+
+(* a running job as its slice's probe sees it, not as its last slice ended *)
+let live probes (j : job) =
   match j.phase with
-  | Queued -> "queued"
-  | Running _ -> "running"
-  | Ended o -> outcome_to_string o
+  | Running r -> (
+      match probe_of probes j.job.Job.id r with
+      | Some p -> { j with steps = p.steps; sim_time = p.time }
+      | None -> j)
+  | Queued | Ended _ -> j
 
-let job_status_json (j : job) =
-  Json.Obj
-    ((("state", Json.Str (state_string j)) :: job_fields j)
-    @ match j.phase with
-      | Ended (Failed why) -> [ ("error", Json.Str why) ]
-      | _ -> [])
+let job_status probes (j : job) =
+  let j = live probes j in
+  (("state",
+    Json.Str
+      (match j.phase with
+      | Queued -> "queued"
+      | Running _ -> "running"
+      | Ended o -> outcome_to_string o))
+  :: job_fields j)
+  @ match j.phase with
+    | Ended (Failed why) -> [ ("error", Json.Str why) ]
+    | _ -> []
 
-let server_status_json st ~now =
+let server_status st ~now =
   let t = tally st in
-  Json.Obj
-    [
-      ("queue_depth", Json.Int (Jobq.length st.ready));
-      ("inflight_jobs", Json.Int (List.length st.live));
-      ("admit_watermark", Json.Int st.cfg.admit_watermark);
-      ("done", Json.Int t.done_);
-      ("failed", Json.Int t.failed);
-      ("drained", Json.Int t.drained);
-      ("steps", Json.Int t.steps);
-      ( "draining",
-        match st.draining with Some w -> Json.Str w | None -> Json.Null );
-      ("elapsed_s", Json.Float (now -. st.started));
-      ("rejects", Json.Int st.rejects);
-    ]
+  [
+    ("queue_depth", Json.Int (Jobq.length st.ready));
+    ("inflight_jobs", Json.Int (List.length st.live));
+    ("admit_watermark", Json.Int st.cfg.admit_watermark);
+    ("done", Json.Int t.done_);
+    ("failed", Json.Int t.failed);
+    ("drained", Json.Int t.drained);
+    ("steps", Json.Int t.steps);
+    ("draining", match st.draining with Some w -> Json.Str w | None -> Json.Null);
+    ("elapsed_s", Json.Float (now -. st.started));
+    ("rejects", Json.Int st.rejects);
+    ("slots_quarantined", Json.Int (st.cfg.total - st.total));
+    ("hangs_detected", Json.Int st.hangs_detected);
+    ("stuck", Json.Int (List.length st.quarantined));
+  ]
+
+let status_dump st ~now ~probes =
+  let line fields =
+    String.concat " "
+      (List.map
+         (fun (k, v) ->
+           k ^ "="
+           ^
+           match v with
+           | Json.Str s -> s
+           | Json.Float f -> Printf.sprintf "%g" f
+           | v -> Json.to_string v)
+         fields)
+  in
+  String.concat "\n  "
+    (("serve: " ^ line (server_status st ~now))
+    :: List.map (fun j -> line (job_status probes j)) (running st @ queued st))
 
 (* --- transitions ------------------------------------------------------------ *)
 
@@ -223,29 +256,20 @@ let submit act st job origin =
       | Initial -> ());
       st
 
-(* Launch queued jobs while their slot requests fit.  A request is clamped
-   to the budget's total, so one greedy job can at most serialize the
-   machine, never block the queue for good. *)
+(* Launch queued jobs while a slot is free: each running slice holds one. *)
 let rec admit act st ~now =
   match (st.draining, Jobq.pop st.ready) with
-  | Some _, _ | None, None -> st
-  | None, Some (id, rest) ->
+  | None, Some (id, rest) when List.length st.live < st.total ->
       let j = get st id in
-      let workers = min j.job.Job.workers st.total in
-      if workers < 1 || st.available < workers then st
-      else begin
-        let slice = j.slices + 1 in
-        let r = { slice; started_at = now; start_steps = j.steps; workers } in
-        act (Launch (j, r));
-        job_event act id
-          (if j.slices > 0 then "restarted" else "started")
-          [ ("slice", Json.Int slice); ("workers", Json.Int workers) ];
-        let st =
-          { st with ready = rest; available = st.available - workers;
-                    live = id :: st.live }
-        in
-        admit act (put st { j with slices = slice; phase = Running r }) ~now
-      end
+      let slice = j.slices + 1 in
+      let r = { slice; started_at = now; start_steps = j.steps } in
+      act (Launch (j, r));
+      job_event act id
+        (if j.slices > 0 then "restarted" else "started")
+        [ ("slice", Json.Int slice) ];
+      let st = { st with ready = rest; live = id :: st.live } in
+      admit act (put st { j with slices = slice; phase = Running r }) ~now
+  | _ -> st
 
 (* The requeue-or-finish ladder, for every way a slice can end.  A
    completed run is done whatever raced it; otherwise a client cancel wins
@@ -284,27 +308,22 @@ let settle act st (j : job) cause =
               st.cfg.slice_deadline j.job.Job.hang_retries))
 
 (* The hung-slice watchdog's verdict.  A domain cannot be killed, so the
-   slice gets a stop request (harmless if it ever wakes), its slots are
+   slice gets a stop request (harmless if it ever wakes), its slot is
    forfeited for good — a slot backed by a stuck OS thread must never be
    reused — and the job goes through the ladder from its last checkpoint. *)
 let quarantine act st (j : job) (r : slice) =
   let id = j.job.Job.id in
   act (Stop { id; slice = r.slice; reason = "watchdog" });
-  let total = max 0 (st.total - r.workers) in
   let st =
-    { (unlive st id) with total; available = min total st.available;
+    { (unlive st id) with total = st.total - 1;
       quarantined = (id, r.slice) :: st.quarantined;
       hangs_detected = st.hangs_detected + 1 }
   in
   let j = { j with hangs = j.hangs + 1 } in
   act (Count ("watchdog.hangs_detected", 1));
-  act (Count ("watchdog.slots_quarantined", r.workers));
-  job_record act j "hung"
-    [ ("slice", Json.Int r.slice); ("slots_lost", Json.Int r.workers) ];
+  act (Count ("watchdog.slots_quarantined", 1));
+  job_record act j "hung" [ ("slice", Json.Int r.slice) ];
   settle act st j Hung
-
-let probe_of probes id (r : slice) =
-  List.find_opt (fun (p : probe) -> p.id = id && p.slice = r.slice) probes
 
 (* Preemption: a running slice yields (checkpoint, requeue) once it has
    run past [slice_wall] while others wait, or as soon as a strictly
@@ -358,10 +377,7 @@ let tick act st ~now ~probes =
 let report act st (rep : report) =
   match find st rep.id with
   | Some ({ phase = Running r; _ } as j) when r.slice = rep.slice ->
-      let st =
-        { (unlive st rep.id) with
-          available = min st.total (st.available + r.workers) }
-      in
+      let st = unlive st rep.id in
       let j =
         { j with steps = rep.steps; sim_time = rep.time;
           consumed = j.consumed +. Float.max 0.0 rep.wall;
@@ -398,7 +414,7 @@ let drain act st why =
 (* The gate: dedup by id (a retry after a lost ACK gets [dup = true],
    never a second run), the overload watermark on the same ready-queue
    depth published as [serve.queue_depth], and drain state. *)
-let request act st ~now (req : Intake.request) =
+let request act st ~now ~probes (req : Intake.request) =
   let reply r = act (Reply r) in
   match req with
   | Intake.Submit _ when st.draining <> None ->
@@ -422,12 +438,12 @@ let request act st ~now (req : Intake.request) =
       reply (Intake.Accepted { dup = false });
       st
   | Intake.Status None ->
-      reply (Intake.Status_of (server_status_json st ~now));
+      reply (Intake.Status_of (Json.Obj (server_status st ~now)));
       st
   | Intake.Status (Some id) ->
       reply
         (match find st id with
-        | Some j -> Intake.Status_of (job_status_json j)
+        | Some j -> Intake.Status_of (Json.Obj (job_status probes j))
         | None -> Intake.Unknown_id id);
       st
   | Intake.Cancel id -> (
@@ -468,7 +484,7 @@ let step st ev =
         let st = reject act st ~id why in
         act (Reject_file (path, why));
         st
-    | Request { now; req } -> request act st ~now req
+    | Request { now; probes; req } -> request act st ~now ~probes req
     | Tick { now; probes } -> tick act st ~now ~probes
     | Report rep -> report act st rep
     | Admit { now } -> admit act st ~now

@@ -8,8 +8,8 @@
    submit, admission, a priority preempt and its report, a spool submit,
    a tick with a stalled heartbeat (quarantine and requeue), a crash
    report, a stale report from the quarantined slice, gate status requests
-   (server-wide and for a running job whose probe shows progress), a
-   drain, and a submit refused while draining.
+   (server-wide and for a running job whose probe shows progress), the
+   SIGUSR1 status dump, a drain, and a submit refused while draining.
 
    Run: dune exec test/sched_replay.exe *)
 
@@ -25,10 +25,10 @@ let job id priority =
   Job.make ~id ~scenario:"advect" ~priority ~cells_x:4 ~cells_v:4 ~poly_order:1
     ~tend:1.0 ()
 
-let probe id slice steps ~time:_ ~heartbeat : Sched.probe =
-  { id; slice; steps; heartbeat }
+let probe id slice steps ~time ~heartbeat : Sched.probe =
+  { id; slice; steps; time; heartbeat }
 
-let request ~now ~probes:_ req = Sched.Request { now; req }
+let request ~now ~probes req = Sched.Request { now; probes; req }
 
 let report id slice ending steps : Sched.event =
   Sched.Report
@@ -57,48 +57,63 @@ let action_to_string = function
   | Sched.Accept_file path -> "accept_file " ^ path
   | Sched.Reject_file (path, why) -> Printf.sprintf "reject_file %s (%s)" path why
 
+type entry = Ev of Sched.event | Dump of Sched.probe list
+
 let script =
   [
-    ("submit a", Sched.Submit (job "a" 0, Sched.Initial));
-    ("submit b", Sched.Submit (job "b" 0, Sched.Initial));
-    ("submit a again", Sched.Submit (job "a" 0, Sched.Initial));
-    ("gate submit b again", request ~now:0.0 ~probes:[] (Intake.Submit (job "b" 0)));
-    ("admit", Sched.Admit { now = 0.0 });
-    ("spool submit c (prio 1)", Sched.Submit (job "c" 1, Sched.Spool "spool/c.json"));
+    ("submit a", Ev (Sched.Submit (job "a" 0, Sched.Initial)));
+    ("submit b", Ev (Sched.Submit (job "b" 0, Sched.Initial)));
+    ("submit a again", Ev (Sched.Submit (job "a" 0, Sched.Initial)));
+    ( "gate submit b again",
+      Ev (request ~now:0.0 ~probes:[] (Intake.Submit (job "b" 0))) );
+    ("admit", Ev (Sched.Admit { now = 0.0 }));
+    ( "spool submit c (prio 1)",
+      Ev (Sched.Submit (job "c" 1, Sched.Spool "spool/c.json")) );
     ( "tick: a has progress, c outranks it",
-      Sched.Tick
-        { now = 0.5;
-          probes =
-            [ probe "a" 1 3 ~time:0.3 ~heartbeat:0.5;
-              probe "b" 1 0 ~time:0.0 ~heartbeat:0.5 ] } );
-    ("report a preempted", report "a" 1 (Sched.Stopped "preempt") 3);
-    ("admit", Sched.Admit { now = 0.5 });
+      Ev
+        (Sched.Tick
+           { now = 0.5;
+             probes =
+               [ probe "a" 1 3 ~time:0.3 ~heartbeat:0.5;
+                 probe "b" 1 0 ~time:0.0 ~heartbeat:0.5 ] }) );
+    ("report a preempted", Ev (report "a" 1 (Sched.Stopped "preempt") 3));
+    ("admit", Ev (Sched.Admit { now = 0.5 }));
     ( "tick: b's heartbeat stalled",
-      Sched.Tick
-        { now = 7.0;
-          probes =
-            [ probe "c" 1 0 ~time:0.0 ~heartbeat:7.0;
-              probe "b" 1 2 ~time:0.2 ~heartbeat:0.5 ] } );
-    ("admit (no slot free)", Sched.Admit { now = 7.0 });
-    ("report c crashed", report "c" 1 (Sched.Crashed "boom") 4);
-    ("admit", Sched.Admit { now = 7.5 });
-    ("stale report from b's quarantined slice", report "b" 1 Sched.Completed 9);
-    ("gate status", request ~now:8.0 ~probes:[] (Intake.Status None));
+      Ev
+        (Sched.Tick
+           { now = 7.0;
+             probes =
+               [ probe "c" 1 0 ~time:0.0 ~heartbeat:7.0;
+                 probe "b" 1 2 ~time:0.2 ~heartbeat:0.5 ] }) );
+    ("admit (no slot free)", Ev (Sched.Admit { now = 7.0 }));
+    ("report c crashed", Ev (report "c" 1 (Sched.Crashed "boom") 4));
+    ("admit", Ev (Sched.Admit { now = 7.5 }));
+    ( "stale report from b's quarantined slice",
+      Ev (report "b" 1 Sched.Completed 9) );
+    ("gate status", Ev (request ~now:8.0 ~probes:[] (Intake.Status None)));
     ( "gate status of running c",
-      request ~now:8.0
-        ~probes:[ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ]
-        (Intake.Status (Some "c")) );
-    ("drain", Sched.Drain "test");
-    ("report c drained", report "c" 2 (Sched.Stopped "drain") 7);
-    ("gate submit d while draining", request ~now:9.0 ~probes:[] (Intake.Submit (job "d" 0)));
+      Ev
+        (request ~now:8.0
+           ~probes:[ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ]
+           (Intake.Status (Some "c"))) );
+    ("SIGUSR1 dump", Dump [ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ]);
+    ("drain", Ev (Sched.Drain "test"));
+    ("report c drained", Ev (report "c" 2 (Sched.Stopped "drain") 7));
+    ( "gate submit d while draining",
+      Ev (request ~now:9.0 ~probes:[] (Intake.Submit (job "d" 0))) );
   ]
 
 let () =
   ignore
     (List.fold_left
-       (fun st (what, ev) ->
+       (fun st (what, entry) ->
          print_endline ("> " ^ what);
-         let st, acts = Sched.step st ev in
-         List.iter (fun a -> print_endline ("  " ^ action_to_string a)) acts;
-         st)
+         match entry with
+         | Ev ev ->
+             let st, acts = Sched.step st ev in
+             List.iter (fun a -> print_endline ("  " ^ action_to_string a)) acts;
+             st
+         | Dump probes ->
+             print_endline ("  " ^ Sched.status_dump st ~now:8.0 ~probes);
+             st)
        (Sched.create cfg ~now:0.0) script)

@@ -150,7 +150,7 @@ let prop_jobq_discipline =
    with a drain, so that every admitted job must end. *)
 
 type choice =
-  | Submit_c of { prio : int; workers : int; gate : bool }
+  | Submit_c of { prio : int; gate : bool }
   | Dup_c of { pick : int; gate : bool }
   | Cancel_c of int
   | Report_c of { pick : int; kind : int }
@@ -162,8 +162,8 @@ type choice =
   | Drain_c
 
 let show_choice = function
-  | Submit_c { prio; workers; gate } ->
-      Printf.sprintf "submit(p%d,w%d%s)" prio workers (if gate then ",gate" else "")
+  | Submit_c { prio; gate } ->
+      Printf.sprintf "submit(p%d%s)" prio (if gate then ",gate" else "")
   | Dup_c { pick; gate } ->
       Printf.sprintf "dup(%d%s)" pick (if gate then ",gate" else "")
   | Cancel_c i -> Printf.sprintf "cancel(%d)" i
@@ -182,9 +182,7 @@ let arb_choices =
     frequency
       [
         ( 16,
-          map3
-            (fun prio workers gate -> Submit_c { prio; workers; gate })
-            (int_bound 3) (int_range 1 3) bool );
+          map2 (fun prio gate -> Submit_c { prio; gate }) (int_bound 3) bool );
         (4, map2 (fun pick gate -> Dup_c { pick; gate }) nat bool);
         (4, map (fun i -> Cancel_c i) nat);
         (16, map2 (fun pick kind -> Report_c { pick; kind }) nat (int_bound 3));
@@ -268,12 +266,13 @@ let simulate choices =
   let pick l i =
     match l with [] -> None | _ -> Some (List.nth l (i mod List.length l))
   in
-  let mk id priority workers =
-    Job.make ~id ~scenario:"advect" ~priority ~workers ~cells_x:4 ~cells_v:4
+  let mk id priority =
+    Job.make ~id ~scenario:"advect" ~priority ~cells_x:4 ~cells_v:4
       ~poly_order:1 ~tend:1.0 ()
   in
   let submit_event job gate =
-    if gate then Sched.Request { now = !now; req = Dg_serve.Intake.Submit job }
+    if gate then
+      Sched.Request { now = !now; probes = []; req = Dg_serve.Intake.Submit job }
     else Sched.Submit (job, Sched.Initial)
   in
   let report ((id, slice) as s) ending =
@@ -294,22 +293,24 @@ let simulate choices =
   in
   List.iter
     (function
-      | Submit_c { prio; workers; gate } ->
+      | Submit_c { prio; gate } ->
           let n = List.length !submitted in
           let id = Printf.sprintf "j%d" n in
-          step (submit_event (mk id prio workers) gate);
+          step (submit_event (mk id prio) gate);
           if Sched.find !st id <> None then begin
             submitted := id :: !submitted;
             if not !admitted_once then initial := (id, prio, n) :: !initial
           end
       | Dup_c { pick = i; gate } ->
           Option.iter
-            (fun id -> step ~dup:true (submit_event (mk id 3 1) gate))
+            (fun id -> step ~dup:true (submit_event (mk id 3) gate))
             (pick !submitted i)
       | Cancel_c i ->
           Option.iter
             (fun id ->
-              step (Sched.Request { now = !now; req = Dg_serve.Intake.Cancel id }))
+              step
+                (Sched.Request
+                   { now = !now; probes = []; req = Dg_serve.Intake.Cancel id }))
             (pick !submitted i)
       | Report_c { pick = i; kind } ->
           Option.iter (fun s -> report s (ending_of s kind)) (pick (running ()) i)
@@ -328,6 +329,7 @@ let simulate choices =
                   Sched.id;
                   slice;
                   steps = Hashtbl.find progress s;
+                  time = 0.0;
                   heartbeat =
                     (if Some s = stale then
                        !now -. sched_cfg.slice_deadline -. 1.0
@@ -391,35 +393,28 @@ let prop_sched_queue_order =
       |> Chaos.Invariant.queue_order)
 
 let prop_sched_budget =
-  sched_prop "running workers fit the budget; it shrinks only on quarantine"
+  sched_prop "running slices <= slots; slots shrink only on quarantine"
     (fun t ->
       List.fold_left
         (fun acc s ->
           Result.bind acc (fun () ->
-              let used =
-                List.fold_left
-                  (fun a (j : Sched.job) ->
-                    match j.phase with
-                    | Sched.Running r -> a + r.Sched.workers
-                    | _ -> a)
-                  0 (Sched.running s.after)
-              in
+              let running = List.length (Sched.running s.after) in
               let hung =
-                List.exists
-                  (fun a ->
-                    match job_emit a with
-                    | Some (_, "hung", _) -> true
-                    | _ -> false)
-                  s.acts
+                List.length
+                  (List.filter
+                     (fun a ->
+                       match job_emit a with
+                       | Some (_, "hung", _) -> true
+                       | _ -> false)
+                     s.acts)
               in
               let t0 = Sched.total s.before and t1 = Sched.total s.after in
-              if used > t1 then
-                Error (Printf.sprintf "%d workers running on a budget of %d" used t1)
-              else if t1 > t0 then Error "the budget grew"
-              else if (t1 < t0) <> hung then
+              if running > t1 then
+                Error (Printf.sprintf "%d slices running on %d slots" running t1)
+              else if t0 - t1 <> hung then
                 Error
-                  (Printf.sprintf "budget %d -> %d on a step %s a quarantine" t0
-                     t1 (if hung then "with" else "without"))
+                  (Printf.sprintf "slots %d -> %d on a step with %d quarantines"
+                     t0 t1 hung)
               else Ok ()))
         (Ok ()) t.steps)
 
@@ -570,6 +565,97 @@ let prop_sched_deterministic =
       in
       if List.rev replayed = List.map (fun s -> s.acts) t.steps then Ok ()
       else Error "replaying the event list changed the actions")
+
+(* A running job's status is what its slice's probe shows now, not where
+   its last slice ended: during a first slice that would read step 0. *)
+let test_sched_live_status () =
+  let st = Sched.create sched_cfg ~now:0.0 in
+  let job = Job.make ~id:"a" ~scenario:"advect" ~cells_x:4 ~cells_v:4 () in
+  let st, _ = Sched.step st (Sched.Submit (job, Sched.Initial)) in
+  let st, _ = Sched.step st (Sched.Admit { now = 0.0 }) in
+  let probes =
+    [ { Sched.id = "a"; slice = 1; steps = 5; time = 0.75; heartbeat = 1.0 } ]
+  in
+  let st, _ = Sched.step st (Sched.Tick { now = 1.0; probes }) in
+  match
+    Sched.step st
+      (Sched.Request
+         { now = 1.0; probes; req = Dg_serve.Intake.Status (Some "a") })
+  with
+  | _, [ Sched.Reply (Dg_serve.Intake.Status_of j) ] ->
+      Alcotest.(check string) "state" "running"
+        (Json.to_str (Json.member "state" j));
+      Alcotest.(check int) "live step" 5 (Json.to_int (Json.member "step" j));
+      Alcotest.(check (float 0.0)) "live t" 0.75
+        (Json.to_float (Json.member "t" j))
+  | _ -> Alcotest.fail "a status request must get one status reply"
+
+(* The SIGUSR1 dump names every running job with its live step, every
+   queued job, and the tallies, watchdog and admission counts. *)
+let test_sched_status_dump () =
+  let mk id = Job.make ~id ~scenario:"advect" ~cells_x:4 ~cells_v:4 () in
+  let report id ending : Sched.event =
+    Sched.Report { id; slice = 1; ending; steps = 4; time = 0.5; wall = 0.1;
+                   dof = 1.0 }
+  in
+  let st =
+    List.fold_left
+      (fun st ev -> fst (Sched.step st ev))
+      (Sched.create sched_cfg ~now:0.0)
+      (List.map (fun id -> Sched.Submit (mk id, Sched.Initial))
+         [ "a"; "b"; "c"; "d"; "e"; "f" ]
+      @ [
+          Sched.Admit { now = 0.0 };
+          report "a" Sched.Completed;
+          report "b" (Sched.Stopped "max-wall");
+          (* c's heartbeat stalls: quarantined, requeued behind f *)
+          Sched.Tick
+            { now = 9.0;
+              probes =
+                [ { Sched.id = "c"; slice = 1; steps = 1; time = 0.1;
+                    heartbeat = 0.0 } ] };
+          Sched.Admit { now = 9.0 };
+          Sched.Submit (mk "a", Sched.Initial);
+          Sched.Invalid { path = "spool/x.json"; id = "x"; why = "bad" };
+        ])
+  in
+  let probe id steps time : Sched.probe =
+    { id; slice = 1; steps; time; heartbeat = 9.0 }
+  in
+  let dump =
+    Sched.status_dump st ~now:10.0
+      ~probes:[ probe "d" 12 1.5; probe "e" 7 0.875 ]
+  in
+  let lines = String.split_on_char '\n' dump in
+  let has line sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length line && (String.sub line i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let line_of id =
+    match List.filter (fun l -> has l (" id=" ^ id ^ " ")) lines with
+    | [ l ] -> l
+    | ls -> Alcotest.failf "%d dump lines for job %s in:\n%s" (List.length ls) id dump
+  in
+  let expect line sub =
+    if not (has line sub) then Alcotest.failf "%S lacks %S in:\n%s" line sub dump
+  in
+  List.iter (expect (List.hd lines))
+    [ "serve: "; " done=1 "; " failed=1 "; " inflight_jobs=2 "; " queue_depth=2 ";
+      " rejects=2 "; " hangs_detected=1 "; " slots_quarantined=1 "; " stuck=1" ];
+  List.iter
+    (fun (id, step, t) ->
+      let l = line_of id in
+      List.iter (expect l) [ "state=running"; " step=" ^ step ^ " "; " t=" ^ t ^ " " ])
+    [ ("d", "12", "1.5"); ("e", "7", "0.875") ];
+  List.iter (fun id -> expect (line_of id) "state=queued") [ "f"; "c" ];
+  List.iter
+    (fun id ->
+      if List.exists (fun l -> has l (" id=" ^ id ^ " ")) lines then
+        Alcotest.failf "ended job %s listed in:\n%s" id dump)
+    [ "a"; "b" ]
 
 (* --- admission hardening ---------------------------------------------------- *)
 
@@ -990,6 +1076,11 @@ let () =
             prop_sched_dup_never_launches;
             prop_sched_cancel_wins;
             prop_sched_deterministic;
+          ]
+        @ [
+            Alcotest.test_case "status reads the live probe" `Quick
+              test_sched_live_status;
+            Alcotest.test_case "SIGUSR1 dump" `Quick test_sched_status_dump;
           ] );
       ( "admission",
         Alcotest.test_case "read/invalid split" `Quick test_of_file_split

@@ -117,6 +117,10 @@ let test_job_parsing () =
   Alcotest.check_raises "bad id"
     (Invalid_argument "job \"a b\": id contains ' ' (use [A-Za-z0-9_.-])")
     (fun () -> ignore (Job.of_string {|{"id":"a b","scenario":"landau"}|}));
+  (* a running slice holds one slot: there is no per-job slot count *)
+  Alcotest.(check bool) "workers is an unknown field" true
+    (Job.of_string_result {|{"id":"w","scenario":"landau","workers":2}|}
+    = Error "job: unknown field: workers");
   (* fault arming across slices: armed only before the bomb step *)
   let fj = Job.of_string {|{"id":"f","scenario":"landau","fault_nan_step":40}|} in
   Alcotest.(check bool) "armed on a fresh job" true
@@ -223,11 +227,14 @@ let test_status_schema () =
   Alcotest.(check int) "all done" 3 s.Engine.jobs_done;
   let module Json = Dg_obs.Obs.Json in
   let str k j = match Json.member k j with Some (Json.Str v) -> v | _ -> "?" in
-  let records =
+  let lines =
     In_channel.with_open_bin status In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter (fun l -> String.trim l <> "")
     |> List.map Json.parse
+  in
+  let records =
+    lines
     |> List.filter (fun j -> str "kind" j = "job")
     |> List.map (fun j -> Printf.sprintf "%s %s %s" (str "kind" j) (str "event" j) (str "id" j))
   in
@@ -236,7 +243,26 @@ let test_status_schema () =
       "job started s2"; "job done s2";
       "job started s0"; "job done s0";
       "job started s1"; "job done s1" ]
-    records
+    records;
+  (* the periodic server record is the gate's status reply, tagged, and
+     is written once per status_every seconds, not once per poll *)
+  let ticks =
+    List.filter (fun j -> str "kind" j = "server" && str "event" j = "tick") lines
+  in
+  Alcotest.(check bool) "one server record per status_every" true
+    (ticks <> []
+    && float_of_int (List.length ticks - 1) *. (quiet_cfg ~root).Engine.status_every
+       <= s.Engine.wall_s);
+  List.iter
+    (function
+      | Json.Obj kvs ->
+          Alcotest.(check (list string)) "server record keys"
+            [ "kind"; "event"; "queue_depth"; "inflight_jobs"; "admit_watermark";
+              "done"; "failed"; "drained"; "steps"; "draining"; "elapsed_s";
+              "rejects"; "slots_quarantined"; "hangs_detected"; "stuck" ]
+            (List.map fst kvs)
+      | _ -> Alcotest.fail "a server record is an object")
+    ticks
 
 (* --- preempt then resume: bit-exactness ------------------------------------- *)
 
