@@ -398,7 +398,8 @@ let run ?(jobs = []) ?supervisor cfg =
     apply_reports ();
     process_intake ();
     step (Sched.Admit { now = Unix.gettimeofday () });
-    Obs.gauge "serve.queue_depth" (float_of_int (List.length (Sched.queued !st)));
+    Obs.gauge "serve.queue_depth"
+      (float_of_int (List.length (Sched.queued !st)));
     Obs.gauge "serve.inflight_jobs"
       (float_of_int (List.length (Sched.running !st)));
     let now = Unix.gettimeofday () in

@@ -134,8 +134,8 @@ val run : ?jobs:Job.t list -> ?supervisor:Dg_resilience.Supervisor.t -> config -
     the summary.  [supervisor] is the server's own: install it for signal
     handling in a CLI, or keep it handler-less and call [request_stop]
     from a test; the engine installs {!Sched.status_dump} on it as the
-    SIGUSR1 renderer.  Duplicate job ids are rejected (counted in the status stream),
-    not fatal.
+    SIGUSR1 renderer.  Duplicate job ids are rejected (counted in the
+    status stream), not fatal.
     @raise Invalid_argument on a nonsensical config. *)
 
 val pp_summary : Format.formatter -> summary -> unit
