@@ -114,13 +114,14 @@ let field_digest (lay : Layout.t) out =
       done);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let rhs_digest ?(flux = Solver.Upwind) ?cells ~family ~p ~cdim ~vdim () =
+let rhs_digest ?(flux = Solver.Upwind) ?(em = true) ?cells ~family ~p ~cdim
+    ~vdim () =
   let lay = make_layout ?cells ~family ~p ~cdim ~vdim () in
   let s = Solver.create ~flux ~use_kernels:true ~qm:(-2.0) lay in
   let f = random_f ~seed:(100 + (10 * cdim) + vdim) lay in
-  let em = random_em ~seed:(200 + p) lay in
+  let em = if em then Some (random_em ~seed:(200 + p) lay) else None in
   let out = phase_field lay ~ncomp:(Layout.num_basis lay) in
-  Solver.rhs s ~f ~em:(Some em) ~out;
+  Solver.rhs s ~f ~em ~out;
   field_digest lay out
 
 let pinned_rhs_digests =
@@ -163,14 +164,14 @@ let pinned_central_digests =
     ("2x2v p=2 tensor", "a268ef2d3957d69c38f14fc485684ee3");
   ]
 
-let check_digests ?flux ?cells pinned =
+let check_digests ?flux ?em ?cells pinned =
   List.iter
     (fun (family, p, cdim, vdim) ->
       let tag =
         Printf.sprintf "%dx%dv p=%d %s" cdim vdim p (Modal.family_name family)
       in
       let cells = Option.map (fun k -> k ~cdim ~vdim) cells in
-      let got = rhs_digest ?flux ?cells ~family ~p ~cdim ~vdim () in
+      let got = rhs_digest ?flux ?em ?cells ~family ~p ~cdim ~vdim () in
       match List.assoc_opt tag pinned with
       | Some want when want = got -> ()
       | Some want -> Alcotest.failf "%s: rhs digest %s, pinned %s" tag got want
@@ -236,6 +237,123 @@ let test_thin_grid_digests () =
   check_digests
     ~cells:(cells (fun ~cdim ~vdim:_ d -> d < cdim))
     pinned_thin_config_digests
+
+(* Pencils (the last, velocity, dimension) of 4, 5 and 9 cells, three
+   cells elsewhere, pinned with the same seeded upwind rhs: where the
+   sweep runs a direction four cells at a time, one batch, one batch and
+   a scalar tail, and two batches and a tail.  Taken on the scalar sweep,
+   before the batch walk, so they hold it to the scalar results bit for
+   bit. *)
+let pinned_long_pencil_digests =
+  [
+    ( 4,
+      [
+        ("1x1v p=1 serendipity", "cf70661911d3b23b924ddc1c6166e4c2");
+        ("1x1v p=2 serendipity", "468d73f2fa41b27ba5e3e1976841dba6");
+        ("1x2v p=1 serendipity", "6876d48d426d7a508c7731f1cd8b21d5");
+        ("1x2v p=2 serendipity", "c920fce5545cc747992d2004e49cb194");
+        ("2x2v p=1 serendipity", "a872a2984022975c145734cb60056e56");
+        ("2x2v p=2 serendipity", "a9e0636e8ee1de99c54f69ac90204766");
+        ("2x3v p=1 serendipity", "1bdc783da1052bca4ad864badb7e7222");
+        ("2x3v p=2 serendipity", "00fb4a70171182900f1efcbe12d5ae5a");
+        ("3x3v p=1 serendipity", "5cfe39335edb76b62d0714c0dcc2a4d8");
+        ("1x1v p=1 tensor", "cf70661911d3b23b924ddc1c6166e4c2");
+        ("1x1v p=2 tensor", "2019feefd9cb1d85aebdd6173bd13445");
+        ("1x2v p=1 tensor", "6876d48d426d7a508c7731f1cd8b21d5");
+        ("1x2v p=2 tensor", "2809b665cc6a78e39901578022f1bd48");
+        ("2x2v p=1 tensor", "a872a2984022975c145734cb60056e56");
+        ("2x2v p=2 tensor", "d178f5b31cccebfc7f91e664a396d259");
+      ] );
+    ( 5,
+      [
+        ("1x1v p=1 serendipity", "0e65590d9882b224b759575e0a2a8ff9");
+        ("1x1v p=2 serendipity", "1bafef61e39f01b8edfada6b37110b10");
+        ("1x2v p=1 serendipity", "e55f952533f5d1c800b482d730e20795");
+        ("1x2v p=2 serendipity", "4662158f7861bc155490e68de13ff73c");
+        ("2x2v p=1 serendipity", "2843c93e20672e2e01cef08757ab36fd");
+        ("2x2v p=2 serendipity", "be40a3708859b8e31b57a0a6661f9d23");
+        ("2x3v p=1 serendipity", "ed87ac6475cad28ba6b04f6bc060a8d4");
+        ("2x3v p=2 serendipity", "8a1b6dff8f1ccfe5e447df066ce0f8fb");
+        ("3x3v p=1 serendipity", "5ea4953b5b2c20e67a6ff7d523c3e0c0");
+        ("1x1v p=1 tensor", "0e65590d9882b224b759575e0a2a8ff9");
+        ("1x1v p=2 tensor", "fc6b635f30905b55270f4c7637c96e69");
+        ("1x2v p=1 tensor", "e55f952533f5d1c800b482d730e20795");
+        ("1x2v p=2 tensor", "2bb51290b9319db8be7bf34eac7c11c3");
+        ("2x2v p=1 tensor", "2843c93e20672e2e01cef08757ab36fd");
+        ("2x2v p=2 tensor", "f46f0b7bf2ce4c0fff00db83b088f52e");
+      ] );
+    ( 9,
+      [
+        ("1x1v p=1 serendipity", "1f1ae12c5f7ea20feebc0cf08598bd81");
+        ("1x1v p=2 serendipity", "94c2e6b8d68d8f49d8db6ccfd8f9819a");
+        ("1x2v p=1 serendipity", "776d3a8c798624cf91fe00e360dfb30d");
+        ("1x2v p=2 serendipity", "125659b56b5cbcfbc39ad1527963f1cb");
+        ("2x2v p=1 serendipity", "a8f15110b1b6b3ffd3c3c1b92153eb95");
+        ("2x2v p=2 serendipity", "fc24e692d2ad71a371b66b16d5d3e0c6");
+        ("2x3v p=1 serendipity", "1a6d64df4176efa2cae6b141bb493157");
+        ("2x3v p=2 serendipity", "e7d71425b0966730aaf1c4bdf535aa55");
+        ("3x3v p=1 serendipity", "cc0824462b2591aa8789769b3372bd2d");
+        ("1x1v p=1 tensor", "1f1ae12c5f7ea20feebc0cf08598bd81");
+        ("1x1v p=2 tensor", "00d5592ab2bee8875a9a8ae86e3c6bd1");
+        ("1x2v p=1 tensor", "776d3a8c798624cf91fe00e360dfb30d");
+        ("1x2v p=2 tensor", "785fb5898e3eef5e03041bc6052106a9");
+        ("2x2v p=1 tensor", "a8f15110b1b6b3ffd3c3c1b92153eb95");
+        ("2x2v p=2 tensor", "726aaaafbb02f91379c72ab313e9f314");
+      ] );
+  ]
+
+
+(* On 5-cell pencils, also the central flux (every face penalty-free) and
+   the field-free rhs (configuration directions only), taken the same
+   way. *)
+let pinned_long_pencil_central_digests =
+  [
+    ("1x1v p=1 serendipity", "2cc51f9f4993eb647b3cc7877a737ee6");
+    ("1x1v p=2 serendipity", "43af8f5fe9cf8c3257967a3f69c7edd8");
+    ("1x2v p=1 serendipity", "7e92980f0b6e4292bef688b9cec2fd31");
+    ("1x2v p=2 serendipity", "0749bf7b84f51f120c72a83b11db61a8");
+    ("2x2v p=1 serendipity", "ffa7b7fc298240d6a929b0d5bb6fc60c");
+    ("2x2v p=2 serendipity", "59ff4f11406079bcef5f910d4d209aaa");
+    ("2x3v p=1 serendipity", "0eb26d076154b12f86491685ea0b8ee7");
+    ("2x3v p=2 serendipity", "430a6d506d41e7426c655d54c831997e");
+    ("3x3v p=1 serendipity", "d3c220fe1742a696a3842256fe5693fc");
+    ("1x1v p=1 tensor", "2cc51f9f4993eb647b3cc7877a737ee6");
+    ("1x1v p=2 tensor", "a1706e63fb78bff39c6cca4d21fbd016");
+    ("1x2v p=1 tensor", "7e92980f0b6e4292bef688b9cec2fd31");
+    ("1x2v p=2 tensor", "375472330b39653b246e73c35d2324df");
+    ("2x2v p=1 tensor", "ffa7b7fc298240d6a929b0d5bb6fc60c");
+    ("2x2v p=2 tensor", "7119ec7d1eccb9e6898d73f75570bba9");
+  ]
+
+let pinned_long_pencil_no_field_digests =
+  [
+    ("1x1v p=1 serendipity", "76ff1ea792d137a846e8b5d3f8038897");
+    ("1x1v p=2 serendipity", "064c945bca3b9e58293aa63a2225791a");
+    ("1x2v p=1 serendipity", "309cfc4986492170d8801e3d1db025a2");
+    ("1x2v p=2 serendipity", "397e365b01215101ad0fe39257d6c072");
+    ("2x2v p=1 serendipity", "c09d2780587358fbeef65790080a2b2d");
+    ("2x2v p=2 serendipity", "f370d4ef7a55debf79ea940f623833f6");
+    ("2x3v p=1 serendipity", "58bc76c9e81b5d8b08ac35b6b47fc2c9");
+    ("2x3v p=2 serendipity", "a0539b4444bce386e6668c1f7d3969d3");
+    ("3x3v p=1 serendipity", "daa14a366f5043cd71176d30de11cd37");
+    ("1x1v p=1 tensor", "76ff1ea792d137a846e8b5d3f8038897");
+    ("1x1v p=2 tensor", "fe4c425b795e780ad73fb90c0663dd18");
+    ("1x2v p=1 tensor", "309cfc4986492170d8801e3d1db025a2");
+    ("1x2v p=2 tensor", "9393e5a6131b7ade1c2f45d30e741183");
+    ("2x2v p=1 tensor", "c09d2780587358fbeef65790080a2b2d");
+    ("2x2v p=2 tensor", "5a02d020800eb3777507059b7de87645");
+  ]
+
+let test_long_pencil_digests () =
+  let pencil n ~cdim ~vdim =
+    Array.init (cdim + vdim) (fun d -> if d = cdim + vdim - 1 then n else 3)
+  in
+  List.iter
+    (fun (n, pinned) -> check_digests ~cells:(pencil n) pinned)
+    pinned_long_pencil_digests;
+  check_digests ~flux:Solver.Central ~cells:(pencil 5)
+    pinned_long_pencil_central_digests;
+  check_digests ~em:false ~cells:(pencil 5) pinned_long_pencil_no_field_digests
 
 (* A warm rhs on the generated path allocates the same number of minor
    words whatever the cell count: the sweep's scratch is per call, and
@@ -649,6 +767,8 @@ let () =
           Alcotest.test_case "Lbo.rhs digest" `Quick test_lbo_digest;
           Alcotest.test_case "thin-grid rhs digests" `Quick
             test_thin_grid_digests;
+          Alcotest.test_case "long-pencil rhs digests" `Quick
+            test_long_pencil_digests;
           Alcotest.test_case "constant allocation" `Quick test_constant_alloc;
           Alcotest.test_case "decomposition blocks reuse the solver" `Quick
             test_decomp_blocks;
