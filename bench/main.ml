@@ -577,16 +577,22 @@ let ablation () =
 
 (* Per Serendipity layout: the time of a cell-direction's kernels called
    in a tight loop on L1-resident blocks (the volume kernel, the face
-   flux and both lifts, averaged over the directions), against a warm,
-   untraced Solver.rhs with an EM field and the upwind flux, per
-   cell-direction; and the minor words that rhs allocates per
-   cell-direction.  The ratio is the sweep's overhead factor. *)
+   flux and both lifts, averaged over the directions), the same for the
+   batch kernels where the layout has them (per cell of a 4-cell batch:
+   the batched volume kernel, Sweep.face_flux_x4 and each lane's lifts),
+   against a warm, untraced Solver.rhs with an EM field and the upwind
+   flux, per cell-direction; and the minor words that rhs allocates per
+   cell-direction.  The ratio is the sweep's overhead factor over the
+   kernels it runs.  Then the isolated times of each direction that has
+   batch kernels, one cell at a time and batched, beside its mults. *)
 let sweep () =
   section "Sweep overhead - isolated kernels vs the whole sweep (Serendipity)";
   let module Sweep = Dg_vlasov.Sweep in
   let module K = Dg_genkernels.Kernels in
-  pr "%-9s %-10s %14s %12s %9s %12s\n" "layout" "grid" "isolated ns/cd"
-    "sweep ns/cd" "ratio" "words/cd";
+  let lanes = Sweep.lanes in
+  let per_dir = ref [] in
+  pr "%-9s %-10s %10s %10s %7s %12s %7s %10s\n" "layout" "grid" "scalar ns"
+    "x4 ns" "x4 gain" "sweep ns/cd" "ratio" "words/cd";
   List.iter
     (fun (cdim, vdim, p, cells_c, cells_v) ->
       let lay =
@@ -596,15 +602,21 @@ let sweep () =
       let np = Layout.num_basis lay and pdim = lay.Layout.pdim in
       let rng = Random.State.make [| 23 |] in
       let rand n = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
-      (* isolated: two neighbouring blocks, every direction's kernels *)
-      let fblk = rand (2 * np) and oblk = Array.make (2 * np) 0.0 in
-      let alpha = rand np in
+      (* isolated: a batch's cells and their lower neighbours, one block
+         apart; a scalar cell-direction uses the first two *)
+      let fblk = rand ((lanes + 1) * np) in
+      let oblk = Array.make ((lanes + 1) * np) 0.0 in
+      let alpha4 = rand (lanes * np) in
+      let alpha = Array.sub alpha4 0 np in
+      let lams = Array.make lanes 0.5 in
       let n_inner = 1000 in
-      let t_iso =
+      let ops =
         Array.init pdim (fun dir ->
-            let ops =
-              Sweep.select ~use_generated:true lay (Tensors.make_dir lay ~dir)
-            in
+            Sweep.select ~use_generated:true lay (Tensors.make_dir lay ~dir))
+      in
+      let t_scalar =
+        Array.map
+          (fun (ops : Sweep.ops) ->
             let face = Array.make (3 * ops.Sweep.nface) 0.0 in
             let gof = 2 * ops.Sweep.nface in
             time_per_call (fun () ->
@@ -624,8 +636,55 @@ let sweep () =
                     oblk ~ooff:np
                 done)
             /. float_of_int n_inner)
+          ops
       in
-      let iso = Array.fold_left ( +. ) 0.0 t_iso /. float_of_int pdim in
+      let t_x4 =
+        Array.map
+          (fun (ops : Sweep.ops) ->
+            Option.map
+              (fun (b : K.batch) ->
+                let nf = ops.Sweep.nface in
+                let face4 = Array.make (lanes * 3 * nf) 0.0 in
+                let lift op ~scale ~ooff =
+                  for k = 0 to lanes - 1 do
+                    Sweep.apply_t2 op ~scale face4
+                      ~foff:((3 * k * nf) + (2 * nf))
+                      oblk ~ooff:(ooff + (k * np))
+                  done
+                in
+                time_per_call (fun () ->
+                    for _ = 1 to n_inner / lanes do
+                      K.t3_x4 b.K.batch_vol ~scale:2.0 alpha4 ~astep:np fblk
+                        ~foff:np ~fstep:np oblk ~ooff:np ~ostep:np;
+                      Sweep.face_flux_x4 ops b ~k0:0 ~rdx:1.0 ~lams alpha4 fblk
+                        ~foff_l:0 ~foff_r:np ~fstep:np face4;
+                      lift ops.Sweep.lift_lo ~scale:1.0 ~ooff:np;
+                      lift ops.Sweep.lift_hi ~scale:(-1.0) ~ooff:0
+                    done)
+                /. float_of_int (n_inner / lanes * lanes))
+              ops.Sweep.batch)
+          ops
+      in
+      let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int pdim in
+      let iso = mean t_scalar in
+      (* what the sweep runs: the batch kernels where a direction has
+         them *)
+      let x4 =
+        if Array.exists Option.is_some t_x4 then
+          Some
+            (mean
+               (Array.map2 (fun x s -> Option.value x ~default:s) t_x4 t_scalar))
+        else None
+      in
+      let name = Printf.sprintf "%dX%dV p=%d" cdim vdim p in
+      Array.iteri
+        (fun dir x4 ->
+          Option.iter
+            (fun x4 ->
+              let mults = Option.value ~default:0 ops.(dir).Sweep.mults in
+              per_dir := (name, dir, mults, t_scalar.(dir), x4) :: !per_dir)
+            x4)
+        t_x4;
       (* the whole sweep *)
       let solver = Solver.create ~flux:Solver.Upwind ~qm:(-1.0) lay in
       let f = random_phase ~seed:29 lay ~ncomp:np in
@@ -642,22 +701,39 @@ let sweep () =
       let grid =
         Printf.sprintf "%d^%dx%d^%d" cells_c cdim cells_v vdim
       in
-      pr "%-9s %-10s %14.0f %12.0f %9.2f %12.2f\n"
-        (Printf.sprintf "%dX%dV p=%d" cdim vdim p)
-        grid (iso *. 1e9) (t_sweep *. 1e9) (t_sweep /. iso)
+      let ns t = Printf.sprintf "%.0f" (t *. 1e9) in
+      pr "%-9s %-10s %10s %10s %7s %12.0f %7.2f %10.2f\n" name grid (ns iso)
+        (Option.fold ~none:"-" ~some:ns x4)
+        (Option.fold ~none:"-" ~some:(fun t -> Printf.sprintf "%.2f" (iso /. t)) x4)
+        (t_sweep *. 1e9)
+        (t_sweep /. Option.value ~default:iso x4)
         (words /. celldirs))
     [
       (1, 1, 1, 32, 48);
       (1, 1, 2, 32, 48);
+      (1, 2, 1, 16, 16);
+      (1, 2, 2, 16, 16);
       (2, 2, 1, 4, 16);
       (2, 2, 2, 4, 8);
       (2, 3, 1, 2, 4);
       (2, 3, 2, 2, 4);
       (3, 3, 1, 2, 4);
     ];
-  pr "(cd = cell-direction; isolated = volume kernel + face flux + both lifts\n\
-     \ on L1-resident blocks, averaged over directions; sweep = warm untraced\n\
-     \ Solver.rhs with E and B, upwind flux)\n"
+  pr "(cd = cell-direction; scalar = isolated kernels per cd, volume kernel\n\
+     \ + face flux + both lifts on L1-resident blocks, one cell at a time,\n\
+     \ averaged over directions; x4 = the same with the directions that have\n\
+     \ batch kernels run in 4-cell batches, - where none has; sweep = warm\n\
+     \ untraced Solver.rhs with E and B, upwind flux; ratio = sweep / the\n\
+     \ isolated kernels it runs)\n";
+  if !per_dir <> [] then begin
+    pr "\nper batched direction:\n%-9s %4s %7s %10s %10s %7s\n" "layout" "dir"
+      "mults" "scalar ns" "x4 ns" "x4 gain";
+    List.iter
+      (fun (name, dir, mults, t, x4) ->
+        pr "%-9s %4d %7d %10.0f %10.0f %7.2f\n" name dir mults (t *. 1e9)
+          (x4 *. 1e9) (t /. x4))
+      (List.rev !per_dir)
+  end
 
 (* --- resilience: health-check, rollback/retry, checkpoint cost ----------- *)
 

@@ -117,9 +117,13 @@ let info_cmd =
         let k = Dg.Tensors.make_dir lay ~dir in
         let fc = k.Dg.Tensors.face in
         (* what this build runs: the selection Solver.create makes *)
+        let ops = Dg_vlasov.Sweep.select ~use_generated:true lay k in
         let path =
-          match (Dg_vlasov.Sweep.select ~use_generated:true lay k).mults with
-          | Some mults -> Printf.sprintf "generated (%d mults)" mults
+          match ops.mults with
+          | Some mults ->
+              Printf.sprintf "generated (%d mults), %s" mults
+                (if ops.batch = None then "one cell at a time"
+                 else "4-cell batches")
           | None -> "interpreted"
         in
         Fmt.pr

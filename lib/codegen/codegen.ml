@@ -16,9 +16,12 @@
      (velocity-cell center [wv] and width [dv]) and the distribution
      coefficients.
    Each kind has one table of function pointers, indexed by kernel id.
+   The larger velocity directions also get 4-lane batch twins of their
+   3-tensor kernels ([lanes] below), in a table of their own.
    [registry_sources] emits every direction bundle of [standard_configs]
-   as one C file (kernels, tables, OCaml stubs) and the OCaml module that
-   maps each direction to its kernel ids; lib/genkernels builds both.
+   as two C files (the scalar kernels and the batch twins, each with its
+   tables and OCaml stubs) and the OCaml module that maps each direction
+   to its kernel ids; lib/genkernels builds all three.
 
    Every expression is written out fully parenthesized in the order it is
    evaluated: products and sums associate to the left, a hoisted product
@@ -117,10 +120,29 @@ let chunk_rows ~row_cost rows =
   in
   go [] [] 0 0 rows
 
-(* The C parameter lists of the three kernel kinds. *)
-let t3_params =
-  "double scale, const double *alpha, const double *f, ptrdiff_t foff, \
-   double *out, ptrdiff_t ooff"
+(* A kernel is emitted in one of two lane modes from the same statements.
+   [Scalar]: one cell, read and written in place at [foff] and [ooff].
+   [X4] (3-tensor kernels only): a batch of four cells, lane k at
+   [foff + k * fstep] (alpha at [k * astep], out at [ooff + k * ostep]),
+   over GCC vector-extension temporaries of four doubles.  The batch
+   kernel loads every f and alpha coefficient it reads into one vector
+   each at its top, evaluates the scalar kernel's expressions lane-wise,
+   and adds each output row's lanes into the four out blocks: each lane
+   does the scalar kernel's operations in the same order, so it rounds
+   exactly as the scalar kernel does. *)
+type lanes = Scalar | X4
+
+let num = function Scalar -> "double" | X4 -> "v4d"
+
+(* The C parameter lists of the kernel kinds, per lane mode. *)
+let t3_params = function
+  | Scalar ->
+      "double scale, const double *alpha, const double *f, ptrdiff_t foff, \
+       double *out, ptrdiff_t ooff"
+  | X4 ->
+      "double scale, const double *alpha, ptrdiff_t astep, const double *f, \
+       ptrdiff_t foff, ptrdiff_t fstep, double *out, ptrdiff_t ooff, \
+       ptrdiff_t ostep"
 
 let t2_params =
   "double scale, const double *f, ptrdiff_t foff, double *out, ptrdiff_t ooff"
@@ -130,10 +152,12 @@ let stream_params =
    double *out, ptrdiff_t ooff"
 
 (* Emit C function [name] over chunked [rows], one block per part:
-   [emit_part] renders one part's body (hoisted temporaries, then the row
-   updates).  Returns the number of parts. *)
-let emit_chunked ~name ~params ~row_cost ~emit_part rows buf =
+   [prologue] opens the body (the batch loads), [emit_part] renders one
+   part's body (hoisted temporaries, then the row updates).  Returns the
+   number of parts. *)
+let emit_chunked ~name ~params ?(prologue = "") ~row_cost ~emit_part rows buf =
   Buffer.add_string buf (Printf.sprintf "static void %s(%s)\n{\n" name params);
+  Buffer.add_string buf prologue;
   let chunks = chunk_rows ~row_cost rows in
   List.iter
     (fun chunk ->
@@ -144,11 +168,38 @@ let emit_chunked ~name ~params ~row_cost ~emit_part rows buf =
   Buffer.add_string buf "}\n";
   max 1 (List.length chunks)
 
-let ag m = Printf.sprintf "alpha[%d]" m
-let fg n = Printf.sprintf "f[foff + %d]" n
+let ag lanes m =
+  match lanes with
+  | Scalar -> Printf.sprintf "alpha[%d]" m
+  | X4 -> Printf.sprintf "a%d" m
 
-let out_update buf l rhs =
-  Buffer.add_string buf (Printf.sprintf "    out[ooff + %d] += %s;\n" l rhs)
+let fg lanes n =
+  match lanes with
+  | Scalar -> Printf.sprintf "f[foff + %d]" n
+  | X4 -> Printf.sprintf "f%d" n
+
+let out_update lanes buf l rhs =
+  Buffer.add_string buf
+    (match lanes with
+    | Scalar -> Printf.sprintf "    out[ooff + %d] += %s;\n" l rhs
+    | X4 -> Printf.sprintf "    DG_ADD_X4(out, ooff, ostep, %d, %s);\n" l rhs)
+
+(* The batch loads of a kernel reading f coefficients [ns] and alpha
+   coefficients [ms] (each once, ascending); empty for a scalar kernel. *)
+let lane_loads lanes ~ms ~ns =
+  match lanes with
+  | Scalar -> ""
+  | X4 ->
+      let load name src ~off ~step l =
+        String.concat ""
+          (List.map
+             (fun i ->
+               Printf.sprintf "  const v4d %s%d = DG_LOAD_X4(%s, %s, %s, %d);\n"
+                 name i src off step i)
+             (List.sort_uniq compare l))
+      in
+      load "a" "alpha" ~off:"0" ~step:"astep" ms
+      ^ load "f" "f" ~off:"foff" ~step:"fstep" ns
 
 (* The CSE pass over one part's multiply-add list: [alpha[m] * f[n]]
    products recurring across output rows (shared face sums and
@@ -156,7 +207,7 @@ let out_update buf l rhs =
    hoisted into one temporary each, turning their uses from two
    multiplications into one.  Scoped per part, so every block stays
    self-contained straight-line code. *)
-let emit_t3_part ~cse_mults buf rows =
+let emit_t3_part ~lanes ~cse_mults buf rows =
   let counts = Hashtbl.create 128 in
   List.iter
     (fun (_, terms) ->
@@ -173,8 +224,8 @@ let emit_t3_part ~cse_mults buf rows =
   List.iter
     (fun (m, n) ->
       Buffer.add_string buf
-        (Printf.sprintf "    const double x%d_%d = %s * %s;\n" m n (ag m)
-           (fg n));
+        (Printf.sprintf "    const %s x%d_%d = %s * %s;\n" (num lanes) m n
+           (ag lanes m) (fg lanes n));
       incr cse_mults)
     hoisted;
   let is_hoisted mn =
@@ -193,13 +244,14 @@ let emit_t3_part ~cse_mults buf rows =
           end
           else begin
             Buffer.add_string b
-              (Printf.sprintf "%s * %s * %s" (lit c) (ag m) (fg n));
+              (Printf.sprintf "%s * %s * %s" (lit c) (ag lanes m)
+                 (fg lanes n));
             cse_mults := !cse_mults + 2
           end)
         terms;
       Buffer.add_string b ")";
       incr cse_mults (* scale *);
-      out_update buf l (Buffer.contents b))
+      out_update lanes buf l (Buffer.contents b))
     rows
 
 let kernel_comment name (st : stats) =
@@ -207,13 +259,20 @@ let kernel_comment name (st : stats) =
     name st.raw_mults st.cse_mults st.chunks
     (if st.chunks = 1 then "" else "s")
 
-let emit_t3_apply_off ~name (t : Sparse.t3) =
+let emit_t3_apply_off ?(lanes = Scalar) ~name (t : Sparse.t3) =
   let body = Buffer.create 4096 in
   let cse_mults = ref 0 in
+  let rows = rows_of_t3 t in
+  let terms = List.concat_map snd rows in
+  let prologue =
+    lane_loads lanes
+      ~ms:(List.map (fun (m, _, _) -> m) terms)
+      ~ns:(List.map (fun (_, n, _) -> n) terms)
+  in
   let chunks =
-    emit_chunked ~name ~params:t3_params
+    emit_chunked ~name ~params:(t3_params lanes) ~prologue
       ~row_cost:(fun (_, terms) -> 1 + (2 * List.length terms))
-      ~emit_part:(emit_t3_part ~cse_mults) (rows_of_t3 t) body
+      ~emit_part:(emit_t3_part ~lanes ~cse_mults) rows body
   in
   let st = { raw_mults = mult_count_t3 t; cse_mults = !cse_mults; chunks } in
   (kernel_comment name st ^ Buffer.contents body, st)
@@ -242,12 +301,12 @@ let emit_t2_apply_off ~name (t : Sparse.t2) =
         List.iteri
           (fun i (c, v) ->
             if i > 0 then Buffer.add_string b " + ";
-            Buffer.add_string b (Printf.sprintf "%s * %s" (lit v) (fg c));
+            Buffer.add_string b (Printf.sprintf "%s * %s" (lit v) (fg Scalar c));
             incr mults)
           terms;
         Buffer.add_string b ")";
         incr mults;
-        out_update buf r (Buffer.contents b))
+        out_update Scalar buf r (Buffer.contents b))
       rows
   in
   let chunks =
@@ -297,7 +356,7 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
             (fun i (_, n, c) ->
               if i > 0 then Buffer.add_string b " + ";
               Buffer.add_string b
-                (Printf.sprintf "%s * %s" (lit (c *. coeff)) (fg n));
+                (Printf.sprintf "%s * %s" (lit (c *. coeff)) (fg Scalar n));
               incr mults)
             items
         in
@@ -319,7 +378,7 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
         if (not has_wv) && not has_dv then Buffer.add_string b "0.0";
         Buffer.add_string b ")";
         incr mults (* rdx2 *);
-        out_update buf l (Buffer.contents b))
+        out_update Scalar buf l (Buffer.contents b))
       rows
   in
   let chunks =
@@ -332,11 +391,16 @@ let emit_streaming_volume_off (lay : Layout.t) ~dir ~name =
 
 type kind = T3 | T2 | Stream
 
-(* A C translation unit under construction: the kernel definitions in
-   emission order, and every kernel's kind and name, newest first. *)
-type tu = { src : Buffer.t; mutable kernels : (kind * string) list }
+(* A C translation unit under construction, all of one lane mode: the
+   kernel definitions in emission order, and every kernel's kind and
+   name, newest first. *)
+type tu = {
+  lanes : lanes;
+  src : Buffer.t;
+  mutable kernels : (kind * string) list;
+}
 
-let new_tu () = { src = Buffer.create 65536; kernels = [] }
+let new_tu lanes = { lanes; src = Buffer.create 65536; kernels = [] }
 
 let names_of tu kind =
   List.rev
@@ -353,34 +417,59 @@ let add_kernel tu kind ~name src =
   tu.kernels <- (kind, name) :: tu.kernels;
   id
 
-let c_prelude =
-  Printf.sprintf
-    "#include <stddef.h>\n\n\
-     typedef void (*dg_t3_fn)(%s);\n\
-     typedef void (*dg_t2_fn)(%s);\n\
-     typedef void (*dg_stream_fn)(%s);\n\n"
-    t3_params t2_params stream_params
+(* The suffix of a lane mode's table, type and stub names. *)
+let lane_suffix = function Scalar -> "" | X4 -> "_x4"
+
+let c_prelude = function
+  | Scalar ->
+      Printf.sprintf
+        "#include <stddef.h>\n\n\
+         typedef void (*dg_t3_fn)(%s);\n\
+         typedef void (*dg_t2_fn)(%s);\n\
+         typedef void (*dg_stream_fn)(%s);\n\n"
+        (t3_params Scalar) t2_params stream_params
+  | X4 ->
+      {|#include <stddef.h>
+
+typedef double v4d __attribute__((vector_size(32)));
+
+/* Element i of the block of each batch lane k = 0..3, at off + k * step. */
+#define DG_LOAD_X4(p, off, step, i)                                    \
+  ((v4d){(p)[(off) + (i)], (p)[(off) + (step) + (i)],                  \
+         (p)[(off) + 2 * (step) + (i)], (p)[(off) + 3 * (step) + (i)]})
+
+/* Add lane k of r into element i of the block at off + k * step. */
+#define DG_ADD_X4(p, off, step, i, r)                                  \
+  do {                                                                 \
+    const v4d r_ = (r);                                                \
+    (p)[(off) + (i)] += r_[0];                                         \
+    (p)[(off) + (step) + (i)] += r_[1];                                \
+    (p)[(off) + 2 * (step) + (i)] += r_[2];                            \
+    (p)[(off) + 3 * (step) + (i)] += r_[3];                            \
+  } while (0)
+
+|}
+      ^ Printf.sprintf "typedef void (*dg_t3_x4_fn)(%s);\n\n" (t3_params X4)
 
 (* One [static const] function-pointer table per non-empty kind, entry
    [id] the kernel of that id. *)
 let c_tables tu =
   let b = Buffer.create 4096 in
+  let sfx = lane_suffix tu.lanes in
   List.iter
-    (fun (ty, table, names) ->
+    (fun (kind, stem) ->
+      let names = names_of tu kind in
       if names <> [] then begin
         Buffer.add_string b
-          (Printf.sprintf "static const %s %s[] = {\n" ty table);
+          (Printf.sprintf "static const dg_%s%s_fn dg_%s%s_table[] = {\n" stem
+             sfx stem sfx);
         List.iteri
           (fun id name ->
             Buffer.add_string b (Printf.sprintf "  %s, /* %d */\n" name id))
           names;
         Buffer.add_string b "};\n\n"
       end)
-    [
-      ("dg_t3_fn", "dg_t3_table", names_of tu T3);
-      ("dg_t2_fn", "dg_t2_table", names_of tu T2);
-      ("dg_stream_fn", "dg_stream_table", names_of tu Stream);
-    ];
+    [ (T3, "t3"); (T2, "t2"); (Stream, "stream") ];
   Buffer.contents b
 
 (* The five face kernels of a direction (Tensors.face), in the order the
@@ -407,7 +496,7 @@ let face_kernels (fc : Tensors.face) ~name =
    its pre-CSE mult count, its five face kernels and their tables.  Needs
    nothing but <stddef.h>. *)
 let dump_dir (lay : Layout.t) ~dir =
-  let tu = new_tu () in
+  let tu = new_tu Scalar in
   let note =
     if Layout.is_config_dir lay dir then begin
       let src, st = emit_streaming_volume_off lay ~dir ~name:"vol_stream" in
@@ -428,7 +517,7 @@ let dump_dir (lay : Layout.t) ~dir =
   List.iter
     (fun (_, kind, name, src, _) -> ignore (add_kernel tu kind ~name src))
     (face_kernels (Tensors.make_dir lay ~dir).Tensors.face ~name:Fun.id);
-  c_prelude ^ Buffer.contents tu.src ^ c_tables tu
+  c_prelude Scalar ^ Buffer.contents tu.src ^ c_tables tu
 
 (* --- per-direction kernel bundles and the dispatch registry ------------- *)
 
@@ -484,11 +573,22 @@ let basis_signature basis =
               (Array.map string_of_int
                  (Dg_util.Multi_index.to_array (Dg_basis.Modal.index basis k))))))
 
-(* Emit the kernels of one (layout, dir) into [tu]; returns the OCaml
-   bundle record naming their ids, and the hot-path stats.  The volume
-   kernel is the one the sweep runs: the streaming form on configuration
+(* Which directions get 4-lane batch twins of their volume kernel and
+   face triple: the velocity directions whose bundle takes at least
+   [batch_min_mults] multiplications per cell after CSE.  That is where
+   the whole sweep starts to gain (EXPERIMENTS.md): below it a batch
+   gains at most 1.3x in isolation and nothing in the sweep, which also
+   pays the per-lane fills, restrictions and lifts, and the streaming
+   kernels of configuration directions gained too little to keep.  The
+   restrictions and lifts stay scalar. *)
+let batch_min_mults = 1_000
+
+(* Emit the kernels of one (layout, dir) into [tu], and their batch twins
+   into [batch] when the direction is batched; returns the OCaml bundle
+   record naming their ids, and the hot-path stats.  The volume kernel is
+   the one the sweep runs: the streaming form on configuration
    directions, the generic alpha-based one on velocity directions. *)
-let emit_dir_bundle tu (lay : Layout.t) ~dir ~tag =
+let emit_dir_bundle ?batch tu (lay : Layout.t) ~dir ~tag =
   let dk = Tensors.make_dir lay ~dir in
   let n kind = Printf.sprintf "%s_%s_d%d" kind tag dir in
   let raw = ref 0 and cse = ref 0 and chunks = ref 0 in
@@ -512,15 +612,29 @@ let emit_dir_bundle tu (lay : Layout.t) ~dir ~tag =
         Printf.sprintf "%s = %d" field (add kind name (src, st)))
       (face_kernels dk.Tensors.face ~name:n)
   in
+  let batch =
+    match batch with
+    | Some btu
+      when (not (Layout.is_config_dir lay dir)) && !cse >= batch_min_mults ->
+        let twin kind t =
+          let name = n kind ^ lane_suffix X4 in
+          add_kernel btu T3 ~name (fst (emit_t3_apply_off ~lanes:X4 ~name t))
+        in
+        let bvol = twin "vol" dk.Tensors.vol in
+        let bface = twin "face" dk.Tensors.face.Tensors.triple in
+        Printf.sprintf "Some { batch_vol = %d; batch_face = %d }" bvol bface
+    | _ -> "None"
+  in
   let record =
     Printf.sprintf
-      "let b_%s_d%d : bundle = { vol = %s; %s; mults = %d; mults_raw = %d; \
-       chunks = %d }\n"
-      tag dir vol (String.concat "; " faces) !cse !raw !chunks
+      "let b_%s_d%d : bundle = { vol = %s; %s; batch = %s; mults = %d; \
+       mults_raw = %d; chunks = %d }\n"
+      tag dir vol (String.concat "; " faces) batch !cse !raw !chunks
   in
   (record, { raw_mults = !raw; cse_mults = !cse; chunks = !chunks })
 
-let dir_stats lay ~dir = snd (emit_dir_bundle (new_tu ()) lay ~dir ~tag:"stats")
+let dir_stats lay ~dir =
+  snd (emit_dir_bundle (new_tu Scalar) lay ~dir ~tag:"stats")
 
 (* The OCaml side of the registry, ahead of the bundle records: the
    flat-float-array check, one external per kernel kind, the bundle
@@ -574,13 +688,37 @@ external stream :
   unit = "dg_gen_stream_byte" "dg_gen_stream"
 [@@noalloc]
 
+(* [t3_x4 id ~scale alpha ~astep f ~foff ~fstep out ~ooff ~ostep]: batch
+   kernel [id] of the 3-tensor table, its scalar twin's update of four
+   cells at once: lane k = 0..3 reads alpha from [k * astep] and f from
+   [foff + k * fstep] and adds into out from [ooff + k * ostep], rounding
+   exactly as four scalar calls do. *)
+external t3_x4 :
+  (int[@untagged]) ->
+  scale:(float[@unboxed]) ->
+  float array ->
+  astep:(int[@untagged]) ->
+  float array ->
+  foff:(int[@untagged]) ->
+  fstep:(int[@untagged]) ->
+  float array ->
+  ooff:(int[@untagged]) ->
+  ostep:(int[@untagged]) ->
+  unit = "dg_gen_t3_x4_byte" "dg_gen_t3_x4"
+[@@noalloc]
+
 (* The volume kernel of a direction: a kernel id of [stream] (the
    specialized streaming form of a configuration direction, which takes
    cell geometry) or of [t3] (applied to the flux expansion alpha). *)
 type vol = Stream of int | Alpha of int
 
-(* One direction's kernel ids (into the t3, t2 and stream tables) and
-   its mult counts. *)
+(* The batch twins of a velocity direction's volume kernel and face
+   triple: kernel ids of [t3_x4]. *)
+type batch = { batch_vol : int; batch_face : int }
+
+(* One direction's kernel ids (into the t3, t2 and stream tables), its
+   batch twins where Codegen emits them (velocity directions of at least
+   Codegen.batch_min_mults multiplications), and its mult counts. *)
 type bundle = {
   vol : vol;
   restrict_lo : int;
@@ -588,6 +726,7 @@ type bundle = {
   face : int;
   lift_lo : int;
   lift_hi : int;
+  batch : batch option;
   mults : int;
   mults_raw : int;
   chunks : int;
@@ -595,10 +734,12 @@ type bundle = {
 
 |}
 
-(* The C entry points of the externals in [ml_prelude]: native ones take
-   untagged ints and unboxed floats, bytecode ones the boxed arguments. *)
-let c_stubs =
-  {|value dg_gen_t3(intnat id, double scale, value alpha, value f, intnat foff,
+(* The C entry points of the externals in [ml_prelude], per lane mode:
+   native ones take untagged ints and unboxed floats, bytecode ones the
+   boxed arguments. *)
+let c_stubs = function
+  | Scalar ->
+      {|value dg_gen_t3(intnat id, double scale, value alpha, value f, intnat foff,
                 value out, intnat ooff)
 {
   dg_t3_table[id](scale, (const double *) alpha, (const double *) f, foff,
@@ -643,15 +784,37 @@ value dg_gen_stream_byte(value *argv, int argn)
                        Long_val(argv[5]), argv[6], Long_val(argv[7]));
 }
 |}
+  | X4 ->
+      {|value dg_gen_t3_x4(intnat id, double scale, value alpha, intnat astep,
+                   value f, intnat foff, intnat fstep, value out, intnat ooff,
+                   intnat ostep)
+{
+  dg_t3_x4_table[id](scale, (const double *) alpha, astep, (const double *) f,
+                     foff, fstep, (double *) out, ooff, ostep);
+  return Val_unit;
+}
 
-(* The generated-kernel sources: [(ml, c)], the OCaml module (externals,
-   a bundle of kernel ids for every direction of every standard
-   configuration, and [find], the registry keyed by (family, poly_order,
-   cdim, vdim, dir)) and the C file (the kernels, their tables and the
-   stubs of the externals).  Deterministic: lib/genkernels builds
-   kernels.ml and kernel_table.c from it through bin/kernel_gen. *)
+value dg_gen_t3_x4_byte(value *argv, int argn)
+{
+  (void) argn;
+  return dg_gen_t3_x4(Long_val(argv[0]), Double_val(argv[1]), argv[2],
+                      Long_val(argv[3]), argv[4], Long_val(argv[5]),
+                      Long_val(argv[6]), argv[7], Long_val(argv[8]),
+                      Long_val(argv[9]));
+}
+
+|}
+
+(* The generated-kernel sources: [(ml, c, c_x4)], the OCaml module
+   (externals, a bundle of kernel ids for every direction of every
+   standard configuration, and [find], the registry keyed by (family,
+   poly_order, cdim, vdim, dir)) and two C files, each holding kernels,
+   their tables and the stubs of their externals: the scalar kernels, and
+   the batch twins of the batched directions (apart, so that the two
+   compile in parallel).  Deterministic: lib/genkernels builds kernels.ml,
+   kernel_table.c and kernel_x4.c from it through bin/kernel_gen. *)
 let registry_sources () =
-  let tu = new_tu () in
+  let tu = new_tu Scalar and btu = new_tu X4 in
   let records = Buffer.create 65536 in
   let index = Buffer.create 1024 in
   let arms = Buffer.create 4096 in
@@ -667,12 +830,16 @@ let registry_sources () =
         | None ->
             let tag = config_tag ~family ~p ~cdim ~vdim in
             for dir = 0 to lay.Layout.pdim - 1 do
-              let record, st = emit_dir_bundle tu lay ~dir ~tag in
+              let n_x4 = List.length btu.kernels in
+              let record, st = emit_dir_bundle ~batch:btu tu lay ~dir ~tag in
               Buffer.add_string records record;
               Buffer.add_string index
                 (Printf.sprintf
-                   "   %s dir %d: %d mults unrolled, %d after cse, %d chunks\n"
-                   tag dir st.raw_mults st.cse_mults st.chunks)
+                   "   %s dir %d: %d mults unrolled, %d after cse, %d \
+                    chunks%s\n"
+                   tag dir st.raw_mults st.cse_mults st.chunks
+                   (if List.length btu.kernels > n_x4 then ", batched"
+                    else ""))
             done;
             Hashtbl.add seen key tag;
             tag
@@ -702,14 +869,20 @@ let registry_sources () =
         "  | _ -> None\n";
       ]
   in
-  let c =
+  let c tu header =
     String.concat ""
       [
         "/* " ^ header ^ " */\n\n#include <caml/mlvalues.h>\n";
-        c_prelude;
+        c_prelude tu.lanes;
         Buffer.contents tu.src;
         c_tables tu;
-        c_stubs;
+        c_stubs tu.lanes;
       ]
   in
-  (ml, c)
+  ( ml,
+    c tu header,
+    c btu
+      "Auto-generated 4-lane batch twins of the volume kernels and face \
+       triples of\n\
+      \   the batched directions of kernel_table.c.\n\
+      \   DO NOT EDIT: generated by bin/kernel_gen." )

@@ -4,8 +4,16 @@
     entries folded to literals, each expression written in the order it
     is evaluated, so that a build without contraction
     ([-ffp-contract=off]) fixes every result bit.  [lib/genkernels]
-    builds its C file and OCaml module from {!registry_sources} at build
-    time (through [bin/kernel_gen]); nothing generated is committed. *)
+    builds its C files and OCaml module from {!registry_sources} at build
+    time (through [bin/kernel_gen]); nothing generated is committed.
+
+    The volume kernel and face triple of each velocity direction whose
+    bundle takes at least {!batch_min_mults} multiplications per cell
+    also get a 4-lane batch twin, emitted by the same printer in a second lane
+    mode: the same statements over GCC vector-extension temporaries, one
+    lane per cell of a batch (lane k at [foff + k * fstep], alpha at
+    [k * astep], out at [ooff + k * ostep]), each lane rounding exactly
+    as the scalar kernel does. *)
 
 module Layout = Dg_kernels.Layout
 module Sparse = Dg_kernels.Sparse
@@ -50,6 +58,11 @@ val standard_configs : (Dg_basis.Modal.family * int * int * int) list
     the paper's 2X3V p=2 and 3X3V p=1 Serendipity runs; every other
     configuration runs the interpreted sparse path. *)
 
+val batch_min_mults : int
+(** The bundle size, in multiplications per cell after CSE, from which a
+    velocity direction gets batch twins: the crossover of the whole-sweep
+    gain that [bench/main.exe sweep] measures.  Fixed at build time. *)
+
 val dir_stats : Layout.t -> dir:int -> stats
 (** Hot-path cost of the kernel bundle for one direction of a layout, as
     the registry emits it: summed over its volume kernel (the streaming
@@ -57,11 +70,13 @@ val dir_stats : Layout.t -> dir:int -> stats
     velocity direction) and the five face kernels of the surface term.
     The bundle holds no other kernel. *)
 
-val registry_sources : unit -> string * string
-(** [(ml, c)]: the generated-kernel sources.  [c] holds every kernel of
-    every direction of every standard configuration, one [static const]
-    function-pointer table per kind (t3, t2, stream) and the C stubs of
-    the externals; [ml] holds those externals, a bundle of kernel ids per
-    direction and [find], the registry keyed by (family, poly_order,
-    cdim, vdim, dir).  Deterministic; [bin/kernel_gen] writes both and
-    the [lib/genkernels] rules compile them. *)
+val registry_sources : unit -> string * string * string
+(** [(ml, c, c_x4)]: the generated-kernel sources.  [c] holds every
+    kernel of every direction of every standard configuration, one
+    [static const] function-pointer table per kind (t3, t2, stream) and
+    the C stubs of the externals; [c_x4] the same for the batch twins of
+    the batched directions (one table, t3_x4); [ml] holds those
+    externals, a bundle of kernel ids per direction (with its batch ids,
+    if any) and [find], the registry keyed by (family, poly_order, cdim,
+    vdim, dir).  Deterministic; [bin/kernel_gen] writes all three and the
+    [lib/genkernels] rules compile them. *)

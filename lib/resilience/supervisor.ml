@@ -90,6 +90,7 @@ let with_supervisor ?max_wall f =
    each line gets the "[vmdg]" prefix so tail-style consumers can filter. *)
 let set_status t status = t.status <- status
 
+let started t = t.started
 let elapsed t = t.offset +. (Unix.gettimeofday () -. t.started)
 
 let dump_status t =

@@ -54,6 +54,9 @@ val dump_status : t -> unit
 (** Print the current status to stderr immediately (what a drained SIGUSR1
     does; also lets a server loop dump on its own cadence). *)
 
+val started : t -> float
+(** The [Unix.gettimeofday] clock at {!create}. *)
+
 val elapsed : t -> float
 (** [elapsed_offset] plus wall seconds since {!create}. *)
 

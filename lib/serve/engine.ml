@@ -295,7 +295,8 @@ let run ?(jobs = []) ?supervisor cfg =
               (fun s : Sched.probe ->
                 let steps, time = Atomic.get s.progress in
                 { id; slice = r.slice; steps; time;
-                  heartbeat = Atomic.get s.heartbeat })
+                  heartbeat = Atomic.get s.heartbeat;
+                  started = Supervisor.started s.sup })
               (Hashtbl.find_opt slices (id, r.slice))
         | _ -> None)
       (Sched.running !st)
@@ -405,7 +406,9 @@ let run ?(jobs = []) ?supervisor cfg =
     let now = Unix.gettimeofday () in
     if now -. !last_status > cfg.status_every then begin
       last_status := now;
-      emit "server" (("event", Json.Str "tick") :: Sched.server_status !st ~now)
+      emit "server"
+        (("event", Json.Str "tick")
+        :: Sched.server_status !st ~now ~probes:(probes ()))
     end;
     if not (finished ()) then Unix.sleepf cfg.poll_interval
   done;

@@ -36,6 +36,7 @@ type report = {
 
 type probe = {
   id : string; slice : int; steps : int; time : float; heartbeat : float;
+  started : float;
 }
 type origin = Initial | Spool of string
 
@@ -95,9 +96,10 @@ let finished st ~exit_on_idle =
 
 type tally = { done_ : int; failed : int; drained : int; steps : int }
 
-let tally st =
+let fold_tally view st =
   SMap.fold
-    (fun _ (j : job) t ->
+    (fun _ j t ->
+      let j : job = view j in
       let t = { t with steps = t.steps + j.steps } in
       match j.phase with
       | Ended Done -> { t with done_ = t.done_ + 1 }
@@ -106,6 +108,8 @@ let tally st =
       | Queued | Running _ -> t)
     st.table
     { done_ = 0; failed = 0; drained = 0; steps = 0 }
+
+let tally st = fold_tally Fun.id st
 
 let job_fields (j : job) =
   [
@@ -126,17 +130,20 @@ let probe_of probes id (r : slice) =
 (* --- status: the one rendering of the gate's replies, the periodic
    ["server"] record and the SIGUSR1 dump ------------------------------------ *)
 
-(* a running job as its slice's probe sees it, not as its last slice ended *)
-let live probes (j : job) =
+(* a running job as its slice's probe sees it at [now], not as its last
+   slice ended: the probe's step and time, and the slice's wall so far *)
+let live ~now probes (j : job) =
   match j.phase with
   | Running r -> (
       match probe_of probes j.job.Job.id r with
-      | Some p -> { j with steps = p.steps; sim_time = p.time }
+      | Some p ->
+          { j with steps = p.steps; sim_time = p.time;
+                   consumed = j.consumed +. (now -. p.started) }
       | None -> j)
   | Queued | Ended _ -> j
 
-let job_status probes (j : job) =
-  let j = live probes j in
+let job_status ~now probes (j : job) =
+  let j = live ~now probes j in
   (("state",
     Json.Str
       (match j.phase with
@@ -148,8 +155,8 @@ let job_status probes (j : job) =
     | Ended (Failed why) -> [ ("error", Json.Str why) ]
     | _ -> []
 
-let server_status st ~now =
-  let t = tally st in
+let server_status st ~now ~probes =
+  let t = fold_tally (live ~now probes) st in
   [
     ("queue_depth", Json.Int (Jobq.length st.ready));
     ("inflight_jobs", Json.Int (List.length st.live));
@@ -180,8 +187,9 @@ let status_dump st ~now ~probes =
          fields)
   in
   String.concat "\n  "
-    (("serve: " ^ line (server_status st ~now))
-    :: List.map (fun j -> line (job_status probes j)) (running st @ queued st))
+    (("serve: " ^ line (server_status st ~now ~probes))
+    :: List.map (fun j -> line (job_status ~now probes j))
+         (running st @ queued st))
 
 (* --- transitions ------------------------------------------------------------ *)
 
@@ -438,12 +446,12 @@ let request act st ~now ~probes (req : Intake.request) =
       reply (Intake.Accepted { dup = false });
       st
   | Intake.Status None ->
-      reply (Intake.Status_of (Json.Obj (server_status st ~now)));
+      reply (Intake.Status_of (Json.Obj (server_status st ~now ~probes)));
       st
   | Intake.Status (Some id) ->
       reply
         (match find st id with
-        | Some j -> Intake.Status_of (Json.Obj (job_status probes j))
+        | Some j -> Intake.Status_of (Json.Obj (job_status ~now probes j))
         | None -> Intake.Unknown_id id);
       st
   | Intake.Cancel id -> (

@@ -87,6 +87,9 @@ type probe = {
   steps : int;  (** job steps the slice has reached *)
   time : float;  (** simulation time at [steps] *)
   heartbeat : float;  (** last sign of life, same clock as [Tick.now] *)
+  started : float;
+      (** the slice's start, same clock: its wall time so far is [now]
+          minus this *)
 }
 (** A running slice's progress and liveness, sampled by the shell for a
     [Tick], a [Request] or a {!status_dump}. *)
@@ -99,7 +102,7 @@ type event =
       (** a spool file the decoder rejected *)
   | Request of { now : float; probes : probe list; req : Intake.request }
       (** from the gate; a running job's status reports its probe's live
-          step and time *)
+          step and time, and its wall time as of [now] *)
   | Tick of { now : float; probes : probe list }
       (** preempt, then the watchdog *)
   | Report of report
@@ -155,11 +158,13 @@ val tally : t -> tally
 
 (** {1 Status} *)
 
-val server_status : t -> now:float -> (string * Json.t) list
+val server_status :
+  t -> now:float -> probes:probe list -> (string * Json.t) list
 (** The server's status, as the fields of one JSON object: [queue_depth],
     [inflight_jobs] (running slices), [admit_watermark], the
-    [done] / [failed] / [drained] tallies, [steps] (summed over jobs, as
-    of each job's last ended slice), [draining] (the reason, or null),
+    [done] / [failed] / [drained] tallies, [steps] (summed over jobs, a
+    running job's as its slice's probe shows it, another's as of its last
+    ended slice), [draining] (the reason, or null),
     [elapsed_s], [rejects] (admission rejects), [slots_quarantined],
     [hangs_detected] and [stuck] (quarantined slices that have not
     reported).  The gate's whole-server [status] reply is
@@ -169,5 +174,6 @@ val server_status : t -> now:float -> (string * Json.t) list
 val status_dump : t -> now:float -> probes:probe list -> string
 (** The SIGUSR1 text: ["serve: "] and {!server_status} as [key=value]
     pairs, then one indented line per running job (most recently launched
-    first, with its probe's live step and [t]) and per queued job (queue
+    first, with its probe's live step and [t], and its [wall_s] as of
+    [now]) and per queued job (queue
     order), each the job's gate [status] reply as [key=value] pairs. *)

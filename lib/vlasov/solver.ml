@@ -158,6 +158,9 @@ let create ?(flux = Upwind) ?(use_kernels = true) ~qm (lay : Layout.t) =
           (Sweep.select ~use_generated:use_kernels lay dk))
       (make_dirs lay)
   in
+  (* directions in order, so the pencil direction is swept last, as the
+     batch walk needs (Sweep.run) *)
+  Array.iteri (fun i d -> assert (d.Sweep.dir = i)) sweep;
   {
     lay;
     flux;

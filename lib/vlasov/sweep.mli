@@ -14,6 +14,26 @@
     is fixed: block offsets are stepped, not recomputed per cell, and on
     generated kernels a cell-direction allocates nothing.
 
+    The batch walk.  When a velocity direction's bundle has batch kernels
+    (4-lane twins of its volume kernel and face triple; the registry
+    emits them for the directions of at least
+    [Dg_codegen.Codegen.batch_min_mults] multiplications), each pencil
+    runs in batches of {!lanes} consecutive cells, the rest of it one
+    cell at a time.  A batch takes the directions in order, each over all
+    four cells.  A batched direction fills the four flux expansions into
+    one scratch, applies the batched volume term, forms the four lower
+    faces (restrictions per lane, the batched face triple, each lane's
+    penalty term), then applies every lane's lift_lo, then every lane's
+    lift_hi.  Any other direction runs its one-cell body lane by lane.
+    The order argument: an output block receives, per direction in
+    order, its own volume term and lower-face lift, and only then (its
+    upper neighbour's turn) a lift_hi.  Across the pencil that neighbour
+    lies in a later pencil.  Along it, it is the next lane, whose lift_hi
+    comes after every lift_lo, or a later batch, provided the pencil
+    direction is the last one swept ({!run} checks that).  Each lane of a
+    batch kernel does its scalar twin's operations in the same order, so
+    the batch walk's results are the one-cell walk's, bit for bit.
+
     Each tensor application of a direction is selected once, by {!select}
     or {!interpreted}: a generated unrolled kernel (lib/genkernels) when
     the registry holds the direction (it holds every direction of every
@@ -53,6 +73,11 @@ type ops = {
   face : t3_op;  (** the face triple: (face row, alpha index, face column) *)
   lift_lo : t2_op;  (** volume <- face, into the cell above the face *)
   lift_hi : t2_op;  (** volume <- face, into the cell below the face *)
+  batch : Dg_genkernels.Kernels.batch option;
+      (** the 4-lane batch twins of the volume kernel and the face triple
+          ([Dg_genkernels.Kernels.t3_x4] ids), when the bundle has them
+          (velocity directions of at least
+          [Dg_codegen.Codegen.batch_min_mults] multiplications) *)
   mults : int option;
       (** [Some n]: a generated bundle backs the direction, with [n]
           multiplications per cell-direction update; [None]: interpreted *)
@@ -68,7 +93,8 @@ val select : use_generated:bool -> Layout.t -> Tensors.dir_kernels -> ops
     [interpreted dk].
 
     Obs counters (when tracing is enabled): [dispatch.specialized_dirs] /
-    [dispatch.interpreted_dirs] per selected direction;
+    [dispatch.interpreted_dirs] per selected direction, and
+    [dispatch.batched_dirs] per generated direction with batch kernels;
     [kernels.cse_saved_mults] (multiplications the codegen CSE pass
     removed) and [kernels.chunks] (kernel parts emitted) per generated
     direction. *)
@@ -110,6 +136,33 @@ val face_flux :
     on the face basis, into [face.(2 nface ..)] (its first [2 nface]
     entries are scratch); [lam] is the penalty speed.  The sweep inlines
     it; exposed for measuring the kernels in isolation. *)
+
+val lanes : int
+(** Cells per batch of the batch walk: 4, the lanes of the batch
+    kernels. *)
+
+val face_flux_x4 :
+  ops ->
+  Dg_genkernels.Kernels.batch ->
+  k0:int ->
+  rdx:float ->
+  lams:float array ->
+  float array ->
+  float array ->
+  foff_l:int ->
+  foff_r:int ->
+  fstep:int ->
+  float array ->
+  unit
+(** [face_flux_x4 ops b ~k0 ~rdx ~lams alpha4 f ~foff_l ~foff_r ~fstep
+    face4]: {!face_flux} of lanes [k0 .. lanes-1] of a batch at once, lane
+    k's face between the cells at [foff_l + k fstep] and
+    [foff_r + k fstep], with flux expansion [alpha4.(k np ..)] ([alpha4]
+    holds [lanes] of them) and penalty speed [lams.(k)], into
+    [face4.(3 k nface + 2 nface ..)] ([face4] holds [lanes] face scratches
+    of [3 nface]).  Per lane bitwise equal to {!face_flux}: only the face
+    triple runs batched.  The sweep inlines it; exposed for measuring the
+    kernels in isolation. *)
 
 (** How the sweep bounds the penalty speed of a face from the flux
     expansion [a] of the cell that traces it.  The sweep evaluates it
@@ -185,8 +238,11 @@ val run :
     the same, in storage order.  [pencil ctx c] runs before each pencil
     with [c] its first cell, for the per-configuration-cell state of the
     fills.  Cells are visited in {!Dg_grid.Grid.iter_cells} order and
-    directions in array order.  Configuration ghosts of [f] must be
-    synchronized.  All scratch is allocated per call; a cell-direction
+    directions in array order; where a direction has batch kernels, in
+    batches of four cells along the pencil (above), with the same
+    results.  Raises [Invalid_argument] if such a sweep's [dirs] holds
+    the pencil direction anywhere but last.  Configuration ghosts of [f]
+    must be synchronized.  All scratch is allocated per call; a cell-direction
     on generated kernels allocates nothing.  Block offsets are derived
     from one per pencil by [Field.cell_step]; with [VMDG_BOUNDS_CHECK=1]
     each is checked against its cell's coordinates

@@ -25,8 +25,8 @@ let job id priority =
   Job.make ~id ~scenario:"advect" ~priority ~cells_x:4 ~cells_v:4 ~poly_order:1
     ~tend:1.0 ()
 
-let probe id slice steps ~time ~heartbeat : Sched.probe =
-  { id; slice; steps; time; heartbeat }
+let probe id slice steps ~time ~heartbeat ~started : Sched.probe =
+  { id; slice; steps; time; heartbeat; started }
 
 let request ~now ~probes req = Sched.Request { now; probes; req }
 
@@ -74,8 +74,8 @@ let script =
         (Sched.Tick
            { now = 0.5;
              probes =
-               [ probe "a" 1 3 ~time:0.3 ~heartbeat:0.5;
-                 probe "b" 1 0 ~time:0.0 ~heartbeat:0.5 ] }) );
+               [ probe "a" 1 3 ~time:0.3 ~heartbeat:0.5 ~started:0.0;
+                 probe "b" 1 0 ~time:0.0 ~heartbeat:0.5 ~started:0.0 ] }) );
     ("report a preempted", Ev (report "a" 1 (Sched.Stopped "preempt") 3));
     ("admit", Ev (Sched.Admit { now = 0.5 }));
     ( "tick: b's heartbeat stalled",
@@ -83,8 +83,8 @@ let script =
         (Sched.Tick
            { now = 7.0;
              probes =
-               [ probe "c" 1 0 ~time:0.0 ~heartbeat:7.0;
-                 probe "b" 1 2 ~time:0.2 ~heartbeat:0.5 ] }) );
+               [ probe "c" 1 0 ~time:0.0 ~heartbeat:7.0 ~started:0.5;
+                 probe "b" 1 2 ~time:0.2 ~heartbeat:0.5 ~started:0.0 ] }) );
     ("admit (no slot free)", Ev (Sched.Admit { now = 7.0 }));
     ("report c crashed", Ev (report "c" 1 (Sched.Crashed "boom") 4));
     ("admit", Ev (Sched.Admit { now = 7.5 }));
@@ -94,9 +94,10 @@ let script =
     ( "gate status of running c",
       Ev
         (request ~now:8.0
-           ~probes:[ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ]
+           ~probes:[ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ~started:7.5 ]
            (Intake.Status (Some "c"))) );
-    ("SIGUSR1 dump", Dump [ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ]);
+    ( "SIGUSR1 dump",
+      Dump [ probe "c" 2 6 ~time:0.6 ~heartbeat:8.0 ~started:7.5 ] );
     ("drain", Ev (Sched.Drain "test"));
     ("report c drained", Ev (report "c" 2 (Sched.Stopped "drain") 7));
     ( "gate submit d while draining",

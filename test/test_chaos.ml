@@ -334,6 +334,7 @@ let simulate choices =
                     (if Some s = stale then
                        !now -. sched_cfg.slice_deadline -. 1.0
                      else !now);
+                  started = 0.0;
                 })
               run
           in
@@ -567,14 +568,16 @@ let prop_sched_deterministic =
       else Error "replaying the event list changed the actions")
 
 (* A running job's status is what its slice's probe shows now, not where
-   its last slice ended: during a first slice that would read step 0. *)
+   its last slice ended: during a first slice that would read step 0 and
+   wall_s 0.  Its wall time counts from the slice's start to [now]. *)
 let test_sched_live_status () =
   let st = Sched.create sched_cfg ~now:0.0 in
   let job = Job.make ~id:"a" ~scenario:"advect" ~cells_x:4 ~cells_v:4 () in
   let st, _ = Sched.step st (Sched.Submit (job, Sched.Initial)) in
   let st, _ = Sched.step st (Sched.Admit { now = 0.0 }) in
   let probes =
-    [ { Sched.id = "a"; slice = 1; steps = 5; time = 0.75; heartbeat = 1.0 } ]
+    [ { Sched.id = "a"; slice = 1; steps = 5; time = 0.75; heartbeat = 1.0;
+        started = 0.25 } ]
   in
   let st, _ = Sched.step st (Sched.Tick { now = 1.0; probes }) in
   match
@@ -587,11 +590,14 @@ let test_sched_live_status () =
         (Json.to_str (Json.member "state" j));
       Alcotest.(check int) "live step" 5 (Json.to_int (Json.member "step" j));
       Alcotest.(check (float 0.0)) "live t" 0.75
-        (Json.to_float (Json.member "t" j))
+        (Json.to_float (Json.member "t" j));
+      Alcotest.(check (float 0.0)) "live wall_s" 0.75
+        (Json.to_float (Json.member "wall_s" j))
   | _ -> Alcotest.fail "a status request must get one status reply"
 
-(* The SIGUSR1 dump names every running job with its live step, every
-   queued job, and the tallies, watchdog and admission counts. *)
+(* The SIGUSR1 dump names every running job with its live step and wall
+   time, every queued job, and the tallies, watchdog and admission
+   counts. *)
 let test_sched_status_dump () =
   let mk id = Job.make ~id ~scenario:"advect" ~cells_x:4 ~cells_v:4 () in
   let report id ending : Sched.event =
@@ -613,14 +619,14 @@ let test_sched_status_dump () =
             { now = 9.0;
               probes =
                 [ { Sched.id = "c"; slice = 1; steps = 1; time = 0.1;
-                    heartbeat = 0.0 } ] };
+                    heartbeat = 0.0; started = 0.0 } ] };
           Sched.Admit { now = 9.0 };
           Sched.Submit (mk "a", Sched.Initial);
           Sched.Invalid { path = "spool/x.json"; id = "x"; why = "bad" };
         ])
   in
   let probe id steps time : Sched.probe =
-    { id; slice = 1; steps; time; heartbeat = 9.0 }
+    { id; slice = 1; steps; time; heartbeat = 9.0; started = 0.0 }
   in
   let dump =
     Sched.status_dump st ~now:10.0
@@ -648,7 +654,8 @@ let test_sched_status_dump () =
   List.iter
     (fun (id, step, t) ->
       let l = line_of id in
-      List.iter (expect l) [ "state=running"; " step=" ^ step ^ " "; " t=" ^ t ^ " " ])
+      List.iter (expect l)
+        [ "state=running"; " step=" ^ step ^ " "; " t=" ^ t ^ " "; " wall_s=10" ])
     [ ("d", "12", "1.5"); ("e", "7", "0.875") ];
   List.iter (fun id -> expect (line_of id) "state=queued") [ "f"; "c" ];
   List.iter

@@ -457,6 +457,65 @@ let test_sparsity () =
     (Sparse.t3_nnz k.Tensors.vol * 4 < dense_size * 2);
   Alcotest.(check bool) "nonempty" true (Sparse.t3_nnz k.Tensors.vol > 0)
 
+(* Every batch kernel against its scalar twin, bit for bit: one batch call
+   over four cells equals four scalar calls, one per lane.  Seeded inputs,
+   a distinct flux expansion per lane, and steps that are not the block
+   size, so a lane that read or wrote another lane's block would show.
+   The registry must batch exactly the velocity directions of at least
+   [Codegen.batch_min_mults] multiplications. *)
+let test_batch_kernels () =
+  let module K = Dg_genkernels.Kernels in
+  let module Codegen = Dg_codegen.Codegen in
+  let lanes = 4 in
+  let bits a = Array.map Int64.bits_of_float a in
+  let batched = ref 0 in
+  List.iter
+    (fun (family, p, cdim, vdim) ->
+      let lay = make_layout ~cdim ~vdim ~family ~p in
+      let np = Layout.num_basis lay in
+      for dir = 0 to lay.Layout.pdim - 1 do
+        let tag =
+          Printf.sprintf "%dx%dv p=%d %s dir %d" cdim vdim p
+            (Modal.family_name family) dir
+        in
+        let b =
+          Option.get
+            (K.find ~family:(Modal.family_name family) ~poly_order:p ~cdim
+               ~vdim ~dir)
+        in
+        Alcotest.(check bool)
+          (tag ^ ": batched iff a velocity direction of enough mults")
+          (dir >= cdim && b.K.mults >= Codegen.batch_min_mults)
+          (b.K.batch <> None);
+        match (b.K.batch, b.K.vol) with
+        | None, _ -> ()
+        | Some _, K.Stream _ -> Alcotest.failf "%s: a batched stream kernel" tag
+        | Some x4, K.Alpha vol ->
+            incr batched;
+            let rng = Random.State.make [| (100 * cdim) + (10 * vdim) + dir |] in
+            let rand n = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+            let astep = np + 3 and fstep = np + 5 and ostep = np + 7 in
+            let foff = 2 and ooff = 1 in
+            let alpha4 = rand (lanes * astep) and f = rand (foff + (lanes * fstep)) in
+            let out0 = rand (ooff + (lanes * ostep)) in
+            List.iter
+              (fun (kind, scalar, batch) ->
+                let want = Array.copy out0 and got = Array.copy out0 in
+                for k = 0 to lanes - 1 do
+                  K.t3 scalar ~scale:0.75
+                    (Array.sub alpha4 (k * astep) np)
+                    f ~foff:(foff + (k * fstep)) want ~ooff:(ooff + (k * ostep))
+                done;
+                K.t3_x4 batch ~scale:0.75 alpha4 ~astep f ~foff ~fstep got ~ooff
+                  ~ostep;
+                if bits got <> bits want then
+                  Alcotest.failf "%s: %s batch kernel differs from four scalar calls"
+                    tag kind)
+              [ ("volume", vol, x4.K.batch_vol); ("face", b.K.face, x4.K.batch_face) ]
+      done)
+    Codegen.standard_configs;
+  Alcotest.(check bool) "some direction is batched" true (!batched > 0)
+
 let () =
   Alcotest.run "dg_kernels"
     [
@@ -468,6 +527,8 @@ let () =
           Alcotest.test_case "sparsity" `Quick test_sparsity;
           Alcotest.test_case "face form == surface/penalty tensors (exact)"
             `Quick test_face_form_exact;
+          Alcotest.test_case "batch kernels == four scalar calls (bitwise)"
+            `Quick test_batch_kernels;
         ] );
       ( "flux",
         [
