@@ -22,13 +22,16 @@ let maxwellian ~n0 ~u ~vt vel =
   /. ((2.0 *. Float.pi *. vt *. vt) ** (float_of_int vdim /. 2.0))
   *. exp (-. !arg /. (2.0 *. vt *. vt))
 
-let make ?(cells_c = 2) ~cdim ~vdim ~p ~cells_v () =
+let make_cells ~cdim ~vdim ~p cells =
   let pdim = cdim + vdim in
-  let cells = Array.init pdim (fun d -> if d < cdim then cells_c else cells_v) in
   let lower = Array.init pdim (fun d -> if d < cdim then 0.0 else -8.0) in
   let upper = Array.init pdim (fun d -> if d < cdim then 1.0 else 8.0) in
   let grid = Grid.make ~cells ~lower ~upper in
   Layout.make ~cdim ~vdim ~family:Modal.Serendipity ~poly_order:p ~grid
+
+let make ?(cells_c = 2) ~cdim ~vdim ~p ~cells_v () =
+  make_cells ~cdim ~vdim ~p
+    (Array.init (cdim + vdim) (fun d -> if d < cdim then cells_c else cells_v))
 
 let test_maxwellian_moments () =
   List.iter
@@ -106,14 +109,34 @@ let test_m2 () =
    the M1 of the discrete f (the discrete energy balance J.E = d/dt KE relies
    on it), so a faster moment pass may reorder nothing.  The digests were
    taken before the weights were tabulated.  The 1X1V grid has an odd
-   velocity-cell count, so one cell is centred at v = 0. *)
-let moment_digests ~cdim ~vdim ~p ~cells_c ~cells_v =
-  let lay = make ~cells_c ~cdim ~vdim ~p ~cells_v () in
+   velocity-cell count, so one cell is centred at v = 0.
+
+   [f] is filled on a [Field.create] field, whose velocity ghosts separate
+   the velocity blocks of neighbouring configuration cells; with [~phase]
+   the moments are taken of a [Field.create_phase] copy of its interior
+   instead, whose velocity blocks are contiguous.  Both must give the same
+   bits, so a walk that assumes either storage fails one of them. *)
+let digest xs =
+  let b = Buffer.create (8 * Array.length xs) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let moment_digests ~phase lay =
+  let cdim = lay.Layout.cdim and vdim = lay.Layout.vdim in
+  let p = Modal.poly_order lay.Layout.basis in
   let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
   let f = Field.create lay.Layout.grid ~ncomp:np in
   let st = Random.State.make [| 20; cdim; vdim; p |] in
   let fd = Field.data f in
   Array.iteri (fun i _ -> fd.(i) <- Random.State.float st 2.0 -. 1.0) fd;
+  let f =
+    if phase then begin
+      let g = Field.create_phase ~cdim lay.Layout.grid ~ncomp:np in
+      Field.copy_stored ~src:f ~dst:g;
+      g
+    end
+    else f
+  in
   let mom = Moments.make lay in
   let config ncomp = Field.create lay.Layout.cgrid ~ncomp in
   let m0 = config nc and j = config (3 * nc) and rho = config nc
@@ -122,11 +145,6 @@ let moment_digests ~cdim ~vdim ~p ~cells_c ~cells_v =
   Moments.accumulate_current mom ~charge:(-1.0) ~f ~out:j;
   Moments.accumulate_charge mom ~charge:(-0.7) ~f ~out:rho;
   Moments.m2 mom ~f ~out:m2;
-  let digest xs =
-    let b = Buffer.create (8 * Array.length xs) in
-    Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) xs;
-    Digest.to_hex (Digest.string (Buffer.contents b))
-  in
   [
     ("M0", digest (Field.data m0));
     ("J", digest (Field.data j));
@@ -137,51 +155,147 @@ let moment_digests ~cdim ~vdim ~p ~cells_c ~cells_v =
       digest [| Moments.total_kinetic_energy mom ~mass:1.7 ~f |]);
   ]
 
-let test_bitwise () =
+let check_digests name expected got =
+  List.iter2
+    (fun (what, want) (_, have) ->
+      if want <> have then
+        Alcotest.failf "%s %s: digest %s, pinned %s" name what have want)
+    expected got
+
+let pinned_moments =
+  [
+    ( (2, 3, 2, 2, 4),
+      [
+        ("M0", "a990f13ece7f6e9c8a633116b7336730");
+        ("J", "0257706920c73f1e19b69070e41ed9d5");
+        ("rho", "670e64410127bb4351ae702eff711b25");
+        ("M2", "6b9940f753477060023d7a264c1f7bed");
+        ("total_mass", "2c37419b944a6aaba51273c46c1efce1");
+        ("total_kinetic_energy", "60961f0bbe6d619be3c85949298dabcc");
+      ] );
+    ( (2, 2, 1, 4, 16),
+      [
+        ("M0", "f484357751de29d4b009db74adc61e3f");
+        ("J", "71a13a4cbcd434e71f17fc3e7f93740a");
+        ("rho", "f0ec032fb04098f9ff506e030eec8e8c");
+        ("M2", "d8dde377a622b55d4b490b8927e3a408");
+        ("total_mass", "793b202dcb357a7e76798f2d7aee086d");
+        ("total_kinetic_energy", "d706f89d96f515d39e9c42aa13551aa0");
+      ] );
+    ( (1, 1, 2, 32, 47),
+      [
+        ("M0", "4dd12bd356440947ef86db647522e81f");
+        ("J", "a24bfeacefcb4078dc1da4a0c66d321a");
+        ("rho", "f113ff647f56d588e3646be9d81457a2");
+        ("M2", "6a83297e6d2830589cf224ddc8b429e5");
+        ("total_mass", "090345d2238b05487472ebb0031802a9");
+        ("total_kinetic_energy", "1785c6ed9db9cc605952d7315c0b060a");
+      ] );
+  ]
+
+let test_bitwise ~phase () =
   List.iter
     (fun ((cdim, vdim, p, cells_c, cells_v), expected) ->
-      let got = moment_digests ~cdim ~vdim ~p ~cells_c ~cells_v in
-      List.iter2
-        (fun (name, want) (_, have) ->
-          if want <> have then
-            Alcotest.failf "%dX%dV p=%d %s: digest %s, pinned %s" cdim vdim p
-              name have want)
-        expected got)
+      let lay = make ~cells_c ~cdim ~vdim ~p ~cells_v () in
+      check_digests
+        (Printf.sprintf "%dX%dV p=%d%s" cdim vdim p
+           (if phase then " (phase field)" else ""))
+        expected (moment_digests ~phase lay))
+    pinned_moments
+
+(* Thin grids, pinned on the per-cell walk: one cell in the last velocity
+   dimension, so every pencil is one cell long, and one cell per
+   configuration dimension, so every pencil writes the same output block;
+   in both storages. *)
+let test_thin () =
+  List.iter
+    (fun ((cdim, vdim, p, cells), expected) ->
+      let lay = make_cells ~cdim ~vdim ~p cells in
+      List.iter
+        (fun phase ->
+          check_digests
+            (Printf.sprintf "%dX%dV p=%d %s%s" cdim vdim p
+               (String.concat "x" (Array.to_list (Array.map string_of_int cells)))
+               (if phase then " (phase field)" else ""))
+            expected (moment_digests ~phase lay))
+        [ false; true ])
     [
-      ( (2, 3, 2, 2, 4),
+      ( (1, 2, 1, [| 3; 4; 1 |]),
         [
-          ("M0", "a990f13ece7f6e9c8a633116b7336730");
-          ("J", "0257706920c73f1e19b69070e41ed9d5");
-          ("rho", "670e64410127bb4351ae702eff711b25");
-          ("M2", "6b9940f753477060023d7a264c1f7bed");
-          ("total_mass", "2c37419b944a6aaba51273c46c1efce1");
-          ("total_kinetic_energy", "60961f0bbe6d619be3c85949298dabcc");
+          ("M0", "669794b3872796c78f071002e8ef9ce7");
+          ("J", "54f75150952b36cbf7cf53adf5ded7cb");
+          ("rho", "69f65bb99d2d98202d8a71bc401b7502");
+          ("M2", "ca30cd26d473af24690dc74cd35f3be3");
+          ("total_mass", "dd4466b57221d4cf64fd2673068a263f");
+          ("total_kinetic_energy", "105e9b58e6c23f72f8d8254af1d1bf59");
         ] );
-      ( (2, 2, 1, 4, 16),
+      ( (2, 2, 2, [| 1; 1; 3; 5 |]),
         [
-          ("M0", "f484357751de29d4b009db74adc61e3f");
-          ("J", "71a13a4cbcd434e71f17fc3e7f93740a");
-          ("rho", "f0ec032fb04098f9ff506e030eec8e8c");
-          ("M2", "d8dde377a622b55d4b490b8927e3a408");
-          ("total_mass", "793b202dcb357a7e76798f2d7aee086d");
-          ("total_kinetic_energy", "d706f89d96f515d39e9c42aa13551aa0");
+          ("M0", "587b8c911191f82725b3d999d9cfdc4f");
+          ("J", "8195451121248593b544f47a8b2ced35");
+          ("rho", "f9eb257803f3fa89d151eca6ab7275eb");
+          ("M2", "4c33db3da6549378647f4fb59a7075e8");
+          ("total_mass", "eeb4e247e93997334088eca494851140");
+          ("total_kinetic_energy", "eafc62b9aa32d6333040399bc9a4d080");
         ] );
-      ( (1, 1, 2, 32, 47),
+      ( (1, 1, 2, [| 1; 1 |]),
         [
-          ("M0", "4dd12bd356440947ef86db647522e81f");
-          ("J", "a24bfeacefcb4078dc1da4a0c66d321a");
-          ("rho", "f113ff647f56d588e3646be9d81457a2");
-          ("M2", "6a83297e6d2830589cf224ddc8b429e5");
-          ("total_mass", "090345d2238b05487472ebb0031802a9");
-          ("total_kinetic_energy", "1785c6ed9db9cc605952d7315c0b060a");
+          ("M0", "baf140cd067ecc320793e92b34de4023");
+          ("J", "a52215ea69b4e7267a822606f1fb784e");
+          ("rho", "0e53740ff3a9c8963f16a3b3ac31bbb1");
+          ("M2", "bd64bc4cc9012d9b952fbe06f886238a");
+          ("total_mass", "dca156d1387f230c39a5b0c863bbd8f6");
+          ("total_kinetic_energy", "62c28da48ad9ac2fc53b4e168e09ec20");
         ] );
     ]
 
-(* A warm current pass allocates a constant amount: no per-(cell, mode)
+(* Prim_moments.compute's raw moments and primitives on a seeded
+   realizable f (a drifting Maxwellian, every coefficient perturbed by at
+   most 1e-3 of its peak), pinned on three separate moment passes. *)
+let test_prim_digest () =
+  let lay = make_cells ~cdim:1 ~vdim:2 ~p:2 [| 4; 6; 5 |] in
+  let np = Layout.num_basis lay in
+  let f = Field.create_phase ~cdim:1 lay.Layout.grid ~ncomp:np in
+  Dg_app.Vm_app.project_phase lay
+    ~f:(fun ~pos ~vel ->
+      maxwellian
+        ~n0:(1.0 +. (0.3 *. sin (2.0 *. Float.pi *. pos.(0))))
+        ~u:[| 0.4; -0.9 |] ~vt:2.0 vel)
+    f;
+  let st = Random.State.make [| 21 |] in
+  Grid.iter_cells lay.Layout.grid (fun _ c ->
+      for k = 0 to np - 1 do
+        Field.set f c k
+          (Field.get f c k +. (1e-3 *. (Random.State.float st 2.0 -. 1.0)))
+      done);
+  let pm = Dg_collisions.Prim_moments.make lay in
+  let prim = Dg_collisions.Prim_moments.alloc_prim pm in
+  Dg_collisions.Prim_moments.compute pm ~moments:(Moments.make lay) ~f ~prim;
+  if prim.nonrealizable <> 0 then
+    Alcotest.failf "%d non-realizable cells" prim.nonrealizable;
+  check_digests "Prim_moments.compute"
+    [
+      ("m0", "957f5ef86f27d84af060fdbfd27a8a32");
+      ("m1", "f130d233a3f90dfdaf584b89ccd2eae9");
+      ("m2", "a4b9fe357c4031cd891e6e8e1e6bb0c5");
+      ("u", "f31f1e71d44ef48ed0f017c4f16317f0");
+      ("vth2", "ee2be0add8c411b7cfda3f2ae47bfe53");
+    ]
+    (List.map
+       (fun (name, fld) -> (name, digest (Field.data fld)))
+       [
+         ("m0", prim.m0);
+         ("m1", prim.m1);
+         ("m2", prim.m2);
+         ("u", prim.u);
+         ("vth2", prim.vth2);
+       ])
+
+(* A warm moment pass allocates a constant amount: no per-(cell, mode)
    closure or boxed weight, so the same minor words on four times the
    cells. *)
 let test_constant_alloc () =
-  let words cells_c =
+  let words op cells_c =
     let lay = make ~cells_c ~cdim:2 ~vdim:2 ~p:1 ~cells_v:16 () in
     let f = Field.create lay.Layout.grid ~ncomp:(Layout.num_basis lay) in
     Field.fill f 0.5;
@@ -189,15 +303,23 @@ let test_constant_alloc () =
       Field.create lay.Layout.cgrid ~ncomp:(3 * Layout.num_cbasis lay)
     in
     let mom = Moments.make lay in
-    Moments.accumulate_current mom ~charge:1.0 ~f ~out;
+    op mom ~f ~out;
     let w0 = Gc.minor_words () in
-    Moments.accumulate_current mom ~charge:1.0 ~f ~out;
+    op mom ~f ~out;
     Gc.minor_words () -. w0
   in
-  let a = words 4 and b = words 8 in
-  if a <> b then
-    Alcotest.failf
-      "accumulate_current: %.0f minor words on 4^2x16^2, %.0f on 8^2x16^2" a b
+  List.iter
+    (fun (name, op) ->
+      let a = words op 4 and b = words op 8 in
+      if a <> b then
+        Alcotest.failf "%s: %.0f minor words on 4^2x16^2, %.0f on 8^2x16^2"
+          name a b)
+    [
+      ("accumulate_current", Moments.accumulate_current ~charge:1.0);
+      ("accumulate_charge", Moments.accumulate_charge ~charge:(-1.0));
+      ("m2", Moments.m2);
+      ("total_mass", fun mom ~f ~out:_ -> ignore (Moments.total_mass mom ~f));
+    ]
 
 let () =
   Alcotest.run "dg_moments"
@@ -207,7 +329,11 @@ let () =
           Alcotest.test_case "maxwellian moments" `Quick test_maxwellian_moments;
           Alcotest.test_case "density profile" `Quick test_density_profile;
           Alcotest.test_case "m2" `Quick test_m2;
-          Alcotest.test_case "bitwise digests" `Quick test_bitwise;
+          Alcotest.test_case "bitwise digests" `Quick (test_bitwise ~phase:false);
+          Alcotest.test_case "bitwise digests, phase field" `Quick
+            (test_bitwise ~phase:true);
+          Alcotest.test_case "thin grids" `Quick test_thin;
+          Alcotest.test_case "prim moments digest" `Quick test_prim_digest;
           Alcotest.test_case "constant allocation" `Quick test_constant_alloc;
         ] );
     ]
