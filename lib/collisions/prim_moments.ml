@@ -86,9 +86,7 @@ let compute t ~(moments : Moments.t) ~(f : Field.t) ~(prim : prim) =
   Field.fill prim.m0 0.0;
   Field.fill m1 0.0;
   Field.fill m2 0.0;
-  Moments.m0 moments ~f ~out:prim.m0;
-  Moments.accumulate_current moments ~charge:1.0 ~f ~out:m1;
-  Moments.m2 moments ~f ~out:m2;
+  Moments.raw_moments moments ~f ~m0:prim.m0 ~m1 ~m2;
   Bytes.fill prim.flags 0 (Bytes.length prim.flags) '\000';
   prim.nonrealizable <- 0;
   let m0b = Array.make nc 0.0 in

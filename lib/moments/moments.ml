@@ -9,11 +9,16 @@
      M1_k      (momentum flux) int v_k f dv
      M2        (energy x 2/m)  int |v|^2 f dv
 
-   [make] tabulates these weights once per (velocity cell, moment, mode);
-   each moment is then one pass adding [jac * w * f_n] in a fixed order
-   (phase cells in grid order, modes ascending), so every float is
-   reproducible: J must be exactly q M1 of the discrete f, or the discrete
-   energy balance J.E = d/dt KE breaks.
+   [make] tabulates these weights once per (velocity cell, moment, mode)
+   and keeps, per (velocity cell, moment) row, only the nonzeros, modes
+   ascending.  Every moment is then one walk adding [jac * (scale * w) *
+   f_n] in a fixed order: phase cells in grid order, and per cell the
+   row's modes ascending.  The walk goes pencil by pencil (the cells along
+   the last velocity dimension) in storage order, which is grid order, so
+   it adds exactly the terms a per-cell loop over all modes adds, in the
+   same order, less those of zero weight, which that loop skipped.  So
+   every float is reproducible: J must be exactly q M1 of the discrete f,
+   or the discrete energy balance J.E = d/dt KE breaks.
 
    Moments couple the phase-space grid to the configuration-space grid; the
    velocity reduction is purely local to a configuration cell (no global
@@ -26,13 +31,126 @@ module Mi = Dg_util.Multi_index
 module Grid = Dg_grid.Grid
 module Field = Dg_grid.Field
 
+(* A compacted weight table.  Row [iv * nblk + blk] (velocity cell [iv],
+   weight block [blk]: M0, M1_k, M2) is entries [start.(row) ..
+   start.(row + 1) - 1], modes ascending, and the rows of a velocity cell
+   follow one another.  Entry [e] adds [coef.(e) * f_{ix.(2 e)}] to
+   coefficient [ix.(2 e + 1) = cfg + blk * nc] of a stack of
+   configuration blocks, [cfg] below [width]: its mode's configuration
+   index, or 0 in a table of coefficient-0 entries. *)
+type table = {
+  width : int;
+  start : int array;
+  ix : int array;
+  coef : float array;
+}
+
+(* Runs of weight blocks a walk adds up: run [s] takes blocks [blk.(s) ..
+   blk.(s) + n.(s) - 1] into output field [field.(s)], stacked from its
+   component 0. *)
+type runs = { field : int array; blk : int array; n : int array }
+
+(* How many scales keep a table of [jac * (scale * w)]: an app passes its
+   species' charge, the collision operators 1.0. *)
+let cached_scales = 4
+
 type t = {
   lay : Layout.t;
+  np : int;
+  nc : int;
   cfg_of : int array; (* phase basis idx -> config basis idx *)
   jac : float; (* velocity reference-map Jacobian: prod_j dv_j / 2 *)
   nv : int; (* velocity cells: phase cell idx = config idx * nv + velocity idx *)
-  weights : float array; (* [velocity cell][block][mode]: M0, M1_k, M2 *)
+  nblk : int; (* weight blocks per velocity cell: M0, M1_k, M2 *)
+  weights : table; (* the nonzero weights w *)
+  totals : table; (* their coefficient-0 entries, [jac * w] *)
+  scales : float array; (* the scales with a table in [scaled] *)
+  scaled : table array;
+  mutable nscaled : int;
+  mutable next : int; (* the slot a new scale takes once all are used *)
+  cell_sum : Field.t; (* a total's per-configuration-cell sums *)
+  m0_run : runs;
+  m1_run : runs;
+  m2_run : runs;
+  raw_runs : runs; (* M0, M1_k, M2 into fields 0, 1, 2 *)
 }
+
+(* The entries of [nrows] dense rows of [np] weights, [rows] row-major,
+   that a per-cell pass over every mode adds: mode [n] of weight [w] when
+   [sel n] and [scale *. w <> 0.0], with coefficient [jac *. (scale *.
+   w)].  Counted, then filled, so a large layout builds no list. *)
+let compact ~nblk ~nc ~np ~cfg_of (rows : float array) ~sel ~jac ~scale =
+  let nrows = Array.length rows / np in
+  let start = Array.make (nrows + 1) 0 in
+  for r = 0 to nrows - 1 do
+    let k = ref 0 in
+    for n = 0 to np - 1 do
+      if sel n && scale *. rows.((r * np) + n) <> 0.0 then incr k
+    done;
+    start.(r + 1) <- start.(r) + !k
+  done;
+  let nnz = start.(nrows) in
+  let ix = Array.make (2 * nnz) 0 and coef = Array.make nnz 0.0 in
+  let e = ref 0 and width = ref 1 in
+  for r = 0 to nrows - 1 do
+    for n = 0 to np - 1 do
+      let w = rows.((r * np) + n) in
+      if sel n && scale *. w <> 0.0 then begin
+        let cfg = cfg_of.(n) in
+        width := max !width (cfg + 1);
+        ix.(2 * !e) <- n;
+        ix.((2 * !e) + 1) <- cfg + (r mod nblk * nc);
+        coef.(!e) <- jac *. (scale *. w);
+        incr e
+      end
+    done
+  done;
+  { width = !width; start; ix; coef }
+
+let every_mode _ = true
+
+(* [t]'s weights, dense again: zero where dropped. *)
+let dense_weights t =
+  let w = t.weights and np = t.np in
+  let nrows = Array.length w.start - 1 in
+  let rows = Array.make (nrows * np) 0.0 in
+  for r = 0 to nrows - 1 do
+    for e = w.start.(r) to w.start.(r + 1) - 1 do
+      rows.((r * np) + w.ix.(2 * e)) <- w.coef.(e)
+    done
+  done;
+  rows
+
+(* The table of [jac * (scale * w)]: built once per distinct scale (bits
+   compared), kept in one of [cached_scales] slots.  A scale that is not
+   finite keeps the zero weights too, whose terms are NaN. *)
+let scaled t scale =
+  let found = ref (-1) in
+  for i = 0 to t.nscaled - 1 do
+    if Int64.equal (Int64.bits_of_float t.scales.(i)) (Int64.bits_of_float scale)
+    then found := i
+  done;
+  if !found >= 0 then t.scaled.(!found)
+  else begin
+    let tbl =
+      compact ~nblk:t.nblk ~nc:t.nc ~np:t.np ~cfg_of:t.cfg_of (dense_weights t)
+        ~sel:every_mode ~jac:t.jac ~scale
+    in
+    let i =
+      if t.nscaled < cached_scales then begin
+        t.nscaled <- t.nscaled + 1;
+        t.nscaled - 1
+      end
+      else begin
+        let i = t.next in
+        t.next <- (i + 1) mod cached_scales;
+        i
+      end
+    in
+    t.scales.(i) <- scale;
+    t.scaled.(i) <- tbl;
+    tbl
+  end
 
 let make (lay : Layout.t) =
   let basis = lay.Layout.basis in
@@ -91,48 +209,150 @@ let make (lay : Layout.t) =
     done
   done;
   let jac = Array.fold_left (fun acc dv -> acc *. (dv /. 2.0)) 1.0 dvv in
-  { lay; cfg_of; jac; nv; weights }
+  let nc = Layout.num_cbasis lay in
+  let compact = compact ~nblk ~nc ~np ~cfg_of weights in
+  let nonzero = compact ~sel:every_mode ~jac:1.0 ~scale:1.0 in
+  let run field blk n = { field = [| field |]; blk = [| blk |]; n = [| n |] } in
+  let t =
+    {
+      lay;
+      np;
+      nc;
+      cfg_of;
+      jac;
+      nv;
+      nblk;
+      weights = nonzero;
+      totals = compact ~sel:(fun n -> cfg_of.(n) = 0) ~jac ~scale:1.0;
+      scales = Array.make cached_scales 0.0;
+      scaled = Array.make cached_scales nonzero;
+      nscaled = 0;
+      next = 0;
+      cell_sum = Field.create ~nghost:0 lay.Layout.cgrid ~ncomp:1;
+      m0_run = run 0 0 1;
+      m1_run = run 0 1 vdim;
+      m2_run = run 0 (vdim + 1) 1;
+      raw_runs =
+        { field = [| 0; 1; 2 |]; blk = [| 0; 1; vdim + 1 |]; n = [| 1; vdim; 1 |] };
+    }
+  in
+  (* M0, M2 and the collision operators' M1 all take scale 1 *)
+  ignore (scaled t 1.0);
+  t
 
-(* The one moment pass: for weight blocks [blk0 .. blk0 + nblk_out - 1],
-   out block b (components b * ncbasis of the config cell) accumulates
-   [scale] times the moment of block blk0 + b.  A zero weight is skipped, so
-   it never adds 0 * NaN. *)
-let pass t ~blk0 ~nblk_out ~scale ~(f : Field.t) ~(out : Field.t) =
-  let lay = t.lay in
-  let grid = lay.Layout.grid and cdim = lay.Layout.cdim in
-  let np = Array.length t.cfg_of and nc = Layout.num_cbasis lay in
-  let nblk = lay.Layout.vdim + 2 in
-  let fd = Field.data f and od = Field.data out in
-  let c = Array.make (Grid.ndim grid) 0 and ccoords = Array.make cdim 0 in
-  for idx = 0 to Grid.num_cells grid - 1 do
-    Grid.coords_of_linear grid idx c;
-    Array.blit c 0 ccoords 0 cdim;
-    let fbase = Field.offset f c and obase = Field.offset out ccoords in
-    let vrow = (idx mod t.nv) * nblk in
-    for b = 0 to nblk_out - 1 do
-      let row = (vrow + blk0 + b) * np and o = obase + (b * nc) in
-      for n = 0 to np - 1 do
-        let w = scale *. t.weights.(row + n) in
-        if w <> 0.0 then
-          od.(o + t.cfg_of.(n)) <-
-            od.(o + t.cfg_of.(n)) +. (t.jac *. w *. fd.(fbase + n))
-      done
+let check_field ~(fld : Field.t) (grid : Grid.t) ~ncomp =
+  let cells = Grid.cells (Field.grid fld) and want = Grid.cells grid in
+  if Array.length cells <> Array.length want then
+    invalid_arg "Moments: a field of the wrong rank";
+  for d = 0 to Array.length want - 1 do
+    if cells.(d) <> want.(d) then invalid_arg "Moments: a field on the wrong grid"
+  done;
+  if Field.ncomp fld < ncomp then
+    invalid_arg "Moments: a field with too few components"
+
+(* One run along one pencil of [len] cells: the first cell's block at
+   [foff0] in [fd], the next ones [fstep] apart, and their velocity cells'
+   rows of the run's first block [nblk] apart from [row0]; the run's [n]
+   blocks into [od], its stack of configuration coefficients at [o]
+   (less the first block's [blk * nc]). *)
+let run_pencil od o fd ~foff0 ~fstep ~len (tbl : table) ~row0 ~nblk ~n =
+  let start = tbl.start and ix = tbl.ix and coef = tbl.coef in
+  for j = 0 to len - 1 do
+    let foff = foff0 + (j * fstep) and row = row0 + (j * nblk) in
+    for e = Array.unsafe_get start row to Array.unsafe_get start (row + n) - 1 do
+      let i = o + Array.unsafe_get ix ((2 * e) + 1) in
+      Array.unsafe_set od i
+        (Array.unsafe_get od i
+        +. Array.unsafe_get coef e
+           *. Array.unsafe_get fd (foff + Array.unsafe_get ix (2 * e)))
     done
   done
 
-let m0 t ~f ~out = pass t ~blk0:0 ~nblk_out:1 ~scale:1.0 ~f ~out
-let m2 t ~f ~out =
-  pass t ~blk0:(t.lay.Layout.vdim + 1) ~nblk_out:1 ~scale:1.0 ~f ~out
+(* The one moment walk: the runs [r] of [tbl] over [f], into [outs].  The
+   pencils (the cells along the last, velocity, dimension) are taken in
+   storage order, each from one offset in [f] and one per output, whose
+   configuration block is the same all along the pencil; its cells step by
+   [Field.cell_step], and per cell a run's blocks are one span of entries.
+   Along a pencil, the runs go one after another: each output field is
+   some one run's, so it still receives its terms cell by cell in grid
+   order.  Under VMDG_BOUNDS_CHECK=1 every offset so used is checked
+   against the coordinates it stands for.  The field shapes are checked up
+   front, so the accesses need no checks of their own.  An output must not
+   alias another, nor f. *)
+let walk t (tbl : table) (r : runs) ~(f : Field.t) ~(outs : Field.t array) =
+  let lay = t.lay in
+  let grid = lay.Layout.grid and cdim = lay.Layout.cdim in
+  let nruns = Array.length r.field and nc = t.nc in
+  check_field ~fld:f grid ~ncomp:t.np;
+  for s = 0 to nruns - 1 do
+    check_field ~fld:outs.(r.field.(s)) lay.Layout.cgrid
+      ~ncomp:(((r.n.(s) - 1) * nc) + tbl.width)
+  done;
+  let chk = Field.bounds_check in
+  let cells = Grid.cells grid in
+  let pdim = Array.length cells in
+  let last = pdim - 1 in
+  let len = cells.(last) in
+  let fd = Field.data f and fstep = Field.cell_step f last in
+  let nblk = t.nblk and nv = t.nv in
+  let c = Array.make pdim 0 and cc = Array.make (if chk then cdim else 0) 0 in
+  let ods = Array.map Field.data outs in
+  let ooff = Array.make (Array.length outs) 0 in
+  for p = 0 to (Grid.num_cells grid / len) - 1 do
+    (* the pencil's outer coordinates, as an odometer *)
+    if p > 0 then begin
+      let d = ref (last - 1) in
+      c.(!d) <- c.(!d) + 1;
+      while c.(!d) = cells.(!d) do
+        c.(!d) <- 0;
+        decr d;
+        c.(!d) <- c.(!d) + 1
+      done
+    end;
+    c.(last) <- 0;
+    let foff0 = Field.unsafe_cell_offset f c in
+    for k = 0 to Array.length outs - 1 do
+      ooff.(k) <- Field.unsafe_leading_offset outs.(k) c
+    done;
+    if chk then begin
+      for j = 0 to len - 1 do
+        c.(last) <- j;
+        Field.check_walked_offset f c ~dir:last ~by:0 (foff0 + (j * fstep))
+      done;
+      c.(last) <- 0;
+      Array.blit c 0 cc 0 cdim;
+      for k = 0 to Array.length outs - 1 do
+        Field.check_walked_offset outs.(k) cc ~dir:0 ~by:0 ooff.(k)
+      done
+    end;
+    (* velocity cell of the pencil's first cell: the phase cell's linear
+       index modulo nv, and a pencil's cells are consecutive there *)
+    let iv0 = p * len mod nv in
+    for s = 0 to nruns - 1 do
+      let k = r.field.(s) and blk = r.blk.(s) in
+      run_pencil ods.(k) (ooff.(k) - (blk * nc)) fd ~foff0 ~fstep ~len tbl
+        ~row0:((iv0 * nblk) + blk) ~nblk ~n:r.n.(s)
+    done
+  done
+
+(* The run [r] of the moment weights, times [scale], into [out]. *)
+let pass t r ~scale ~f ~out = walk t (scaled t scale) r ~f ~outs:[| out |]
+
+let m0 t ~f ~out = pass t t.m0_run ~scale:1.0 ~f ~out
+let m2 t ~f ~out = pass t t.m2_run ~scale:1.0 ~f ~out
 
 (* Current density: J_k += q * M1_k, accumulated for each velocity direction
    into components k*ncbasis of [out] (so [out] can hold Jx, Jy, Jz blocks).
    Velocity directions beyond vdim carry no current. *)
-let accumulate_current t ~charge ~f ~out =
-  pass t ~blk0:1 ~nblk_out:t.lay.Layout.vdim ~scale:charge ~f ~out
+let accumulate_current t ~charge ~f ~out = pass t t.m1_run ~scale:charge ~f ~out
 
 (* Charge density: rho += q * M0. *)
-let accumulate_charge t ~charge ~f ~out =
-  pass t ~blk0:0 ~nblk_out:1 ~scale:charge ~f ~out
+let accumulate_charge t ~charge ~f ~out = pass t t.m0_run ~scale:charge ~f ~out
+
+(* M0, M1_k and M2 in one walk: each output receives its own terms in the
+   order its own pass adds them, so the three are bitwise those passes. *)
+let raw_moments t ~f ~m0 ~m1 ~m2 =
+  walk t (scaled t 1.0) t.raw_runs ~f ~outs:[| m0; m1; m2 |]
 
 (* Scalar totals over the domain (for conservation diagnostics): the domain
    integral of a config-space DG expansion is the sum over cells of
@@ -148,33 +368,27 @@ let total_of_config_field (lay : Layout.t) ~(fld : Field.t) ~comp_off =
       acc := !acc +. Field.get fld c comp_off);
   config_integral lay !acc
 
-(* Domain integral of weight block [blk]'s moment: the pass restricted to
-   coefficient 0.  Each config cell's phase cells are contiguous and in
-   config-grid order (config dimensions outermost), so a per-config-cell
-   running sum flushed at each new config cell is bit for bit the moment
-   into a zeroed field followed by [total_of_config_field]. *)
-let total t ~blk ~(f : Field.t) =
-  let grid = t.lay.Layout.grid in
-  let np = Array.length t.cfg_of and nblk = t.lay.Layout.vdim + 2 in
-  let fd = Field.data f in
-  let c = Array.make (Grid.ndim grid) 0 in
-  let acc = ref 0.0 and cell = ref 0.0 in
-  for idx = 0 to Grid.num_cells grid - 1 do
-    Grid.coords_of_linear grid idx c;
-    let iv = idx mod t.nv in
-    if iv = 0 then (acc := !acc +. !cell; cell := 0.0);
-    let fbase = Field.offset f c and row = ((iv * nblk) + blk) * np in
-    for n = 0 to np - 1 do
-      let w = t.weights.(row + n) in
-      if w <> 0.0 && t.cfg_of.(n) = 0 then
-        cell := !cell +. (t.jac *. w *. fd.(fbase + n))
-    done
+(* Domain integral of weight block [blk]'s moment: the walk of its
+   coefficient-0 entries into one sum per configuration cell, then the sum
+   of those in configuration-grid order.  The per-cell pass added the same
+   terms in the same order to a running sum per configuration cell, flushed
+   into the domain sum at each new configuration cell (config dimensions
+   outermost), so the bits are those of the moment into a zeroed field
+   followed by [total_of_config_field]. *)
+let total t r ~f =
+  let s = t.cell_sum in
+  Field.fill s 0.0;
+  walk t t.totals r ~f ~outs:[| s |];
+  let sd = Field.data s in
+  let acc = ref 0.0 in
+  for i = 0 to Array.length sd - 1 do
+    acc := !acc +. sd.(i)
   done;
-  config_integral t.lay (!acc +. !cell)
+  config_integral t.lay !acc
 
 (* Total particle number: int f dz. *)
-let total_mass t ~f = total t ~blk:0 ~f
+let total_mass t ~f = total t t.m0_run ~f
 
 (* Total particle kinetic energy: (m/2) int |v|^2 f dz. *)
 let total_kinetic_energy t ~mass ~f =
-  0.5 *. mass *. total t ~blk:(t.lay.Layout.vdim + 1) ~f
+  0.5 *. mass *. total t t.m2_run ~f
