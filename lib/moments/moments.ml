@@ -109,6 +109,33 @@ let compact ~nblk ~nc ~np ~cfg_of (rows : float array) ~sel ~jac ~scale =
 
 let every_mode _ = true
 
+(* The terms a per-cell pass adds for weights [w] times [scale], with
+   coefficient [jac *. (scale *. w)]: for a finite scale, the nonzero
+   weights' entries less any whose [scale *. w] underflows to zero. *)
+let rescale (w : table) ~jac ~scale =
+  let nrows = Array.length w.start - 1 in
+  let start = Array.make (nrows + 1) 0 in
+  for r = 0 to nrows - 1 do
+    let k = ref 0 in
+    for e = w.start.(r) to w.start.(r + 1) - 1 do
+      if scale *. w.coef.(e) <> 0.0 then incr k
+    done;
+    start.(r + 1) <- start.(r) + !k
+  done;
+  let nnz = start.(nrows) in
+  let ix = Array.make (2 * nnz) 0 and coef = Array.make nnz 0.0 in
+  let k = ref 0 in
+  for e = 0 to Array.length w.coef - 1 do
+    let sw = scale *. w.coef.(e) in
+    if sw <> 0.0 then begin
+      ix.(2 * !k) <- w.ix.(2 * e);
+      ix.((2 * !k) + 1) <- w.ix.((2 * e) + 1);
+      coef.(!k) <- jac *. sw;
+      incr k
+    end
+  done;
+  { w with start; ix; coef }
+
 (* [t]'s weights, dense again: zero where dropped. *)
 let dense_weights t =
   let w = t.weights and np = t.np in
@@ -133,8 +160,10 @@ let scaled t scale =
   if !found >= 0 then t.scaled.(!found)
   else begin
     let tbl =
-      compact ~nblk:t.nblk ~nc:t.nc ~np:t.np ~cfg_of:t.cfg_of (dense_weights t)
-        ~sel:every_mode ~jac:t.jac ~scale
+      if Float.is_finite scale then rescale t.weights ~jac:t.jac ~scale
+      else
+        compact ~nblk:t.nblk ~nc:t.nc ~np:t.np ~cfg_of:t.cfg_of
+          (dense_weights t) ~sel:every_mode ~jac:t.jac ~scale
     in
     let i =
       if t.nscaled < cached_scales then begin
@@ -368,13 +397,12 @@ let total_of_config_field (lay : Layout.t) ~(fld : Field.t) ~comp_off =
       acc := !acc +. Field.get fld c comp_off);
   config_integral lay !acc
 
-(* Domain integral of weight block [blk]'s moment: the walk of its
-   coefficient-0 entries into one sum per configuration cell, then the sum
-   of those in configuration-grid order.  The per-cell pass added the same
-   terms in the same order to a running sum per configuration cell, flushed
-   into the domain sum at each new configuration cell (config dimensions
-   outermost), so the bits are those of the moment into a zeroed field
-   followed by [total_of_config_field]. *)
+(* Domain integral of the moment of run [r] (one block): the walk of its
+   coefficient-0 entries, [jac * w], into one sum per configuration cell,
+   then the sum of those in configuration-grid order.  These are the terms
+   the moment into a zeroed field adds to its coefficients 0, in the same
+   order, and [total_of_config_field] sums those the same way, so the bits
+   are those of the two in turn. *)
 let total t r ~f =
   let s = t.cell_sum in
   Field.fill s 0.0;

@@ -291,6 +291,44 @@ let test_prim_digest () =
          ("vth2", prim.vth2);
        ])
 
+(* Scales whose terms the per-cell pass treated apart: a zero charge adds
+   nothing at all (a -0 coefficient stays -0), and a charge that is not
+   finite makes every coefficient it reaches NaN, the zero weights' terms
+   included. *)
+let test_odd_scales () =
+  let lay = make ~cells_c:3 ~cdim:1 ~vdim:2 ~p:2 ~cells_v:4 () in
+  let np = Layout.num_basis lay and nc = Layout.num_cbasis lay in
+  let f = Field.create_phase ~cdim:1 lay.Layout.grid ~ncomp:np in
+  let st = Random.State.make [| 22 |] in
+  let fd = Field.data f in
+  Array.iteri (fun i _ -> fd.(i) <- Random.State.float st 2.0 -. 1.0) fd;
+  let mom = Moments.make lay in
+  let block = Array.make (3 * nc) 0.0 in
+  List.iter
+    (fun charge ->
+      let out = Field.create lay.Layout.cgrid ~ncomp:(3 * nc) in
+      Field.fill out (-0.0);
+      Moments.accumulate_current mom ~charge ~f ~out;
+      Moments.accumulate_charge mom ~charge ~f ~out;
+      Array.iter
+        (fun x ->
+          if Int64.bits_of_float x <> Int64.bits_of_float (-0.0) then
+            Alcotest.failf "charge %g: coefficient %h, not -0" charge x)
+        (Field.data out))
+    [ 0.0; -0.0 ];
+  List.iter
+    (fun charge ->
+      let out = Field.create lay.Layout.cgrid ~ncomp:(3 * nc) in
+      Moments.accumulate_current mom ~charge ~f ~out;
+      Grid.iter_cells lay.Layout.cgrid (fun _ c ->
+          Field.read_block out c block;
+          for k = 0 to (2 * nc) - 1 do
+            if not (Float.is_nan block.(k)) then
+              Alcotest.failf "charge %g: coefficient %d is %g, not NaN" charge
+                k block.(k)
+          done))
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
 (* A warm moment pass allocates a constant amount: no per-(cell, mode)
    closure or boxed weight, so the same minor words on four times the
    cells. *)
@@ -334,6 +372,7 @@ let () =
             (test_bitwise ~phase:true);
           Alcotest.test_case "thin grids" `Quick test_thin;
           Alcotest.test_case "prim moments digest" `Quick test_prim_digest;
+          Alcotest.test_case "odd scales" `Quick test_odd_scales;
           Alcotest.test_case "constant allocation" `Quick test_constant_alloc;
         ] );
     ]
