@@ -77,15 +77,15 @@ type t = {
 
 (* The entries of [nrows] dense rows of [np] weights, [rows] row-major,
    that a per-cell pass over every mode adds: mode [n] of weight [w] when
-   [sel n] and [scale *. w <> 0.0], with coefficient [jac *. (scale *.
-   w)].  Counted, then filled, so a large layout builds no list. *)
-let compact ~nblk ~nc ~np ~cfg_of (rows : float array) ~sel ~jac ~scale =
+   [scale *. w <> 0.0], with coefficient [jac *. (scale *. w)].  Counted,
+   then filled, so a large layout builds no list. *)
+let compact ~nblk ~nc ~np ~cfg_of (rows : float array) ~jac ~scale =
   let nrows = Array.length rows / np in
   let start = Array.make (nrows + 1) 0 in
   for r = 0 to nrows - 1 do
     let k = ref 0 in
     for n = 0 to np - 1 do
-      if sel n && scale *. rows.((r * np) + n) <> 0.0 then incr k
+      if scale *. rows.((r * np) + n) <> 0.0 then incr k
     done;
     start.(r + 1) <- start.(r) + !k
   done;
@@ -93,13 +93,14 @@ let compact ~nblk ~nc ~np ~cfg_of (rows : float array) ~sel ~jac ~scale =
   let ix = Array.make (2 * nnz) 0 and coef = Array.make nnz 0.0 in
   let e = ref 0 and width = ref 1 in
   for r = 0 to nrows - 1 do
+    let blk_off = r mod nblk * nc in
     for n = 0 to np - 1 do
       let w = rows.((r * np) + n) in
-      if sel n && scale *. w <> 0.0 then begin
+      if scale *. w <> 0.0 then begin
         let cfg = cfg_of.(n) in
-        width := max !width (cfg + 1);
+        if cfg >= !width then width := cfg + 1;
         ix.(2 * !e) <- n;
-        ix.((2 * !e) + 1) <- cfg + (r mod nblk * nc);
+        ix.((2 * !e) + 1) <- cfg + blk_off;
         coef.(!e) <- jac *. (scale *. w);
         incr e
       end
@@ -107,34 +108,45 @@ let compact ~nblk ~nc ~np ~cfg_of (rows : float array) ~sel ~jac ~scale =
   done;
   { width = !width; start; ix; coef }
 
-let every_mode _ = true
-
-(* The terms a per-cell pass adds for weights [w] times [scale], with
-   coefficient [jac *. (scale *. w)]: for a finite scale, the nonzero
-   weights' entries less any whose [scale *. w] underflows to zero. *)
-let rescale (w : table) ~jac ~scale =
+(* The terms a per-cell pass adds for the nonzero weights [w] times a
+   finite [scale], with coefficient [jac *. (scale *. w)]: [w]'s entries
+   less any whose [scale *. w] underflows to zero, and with [~cfg0] less
+   those off configuration coefficient 0.  When it drops none, the table
+   shares [w]'s indices. *)
+let rescale ?(cfg0 = false) ~nc (w : table) ~jac ~scale =
+  let keep e =
+    scale *. w.coef.(e) <> 0.0 && ((not cfg0) || w.ix.((2 * e) + 1) mod nc = 0)
+  in
   let nrows = Array.length w.start - 1 in
   let start = Array.make (nrows + 1) 0 in
   for r = 0 to nrows - 1 do
     let k = ref 0 in
     for e = w.start.(r) to w.start.(r + 1) - 1 do
-      if scale *. w.coef.(e) <> 0.0 then incr k
+      if keep e then incr k
     done;
     start.(r + 1) <- start.(r) + !k
   done;
   let nnz = start.(nrows) in
-  let ix = Array.make (2 * nnz) 0 and coef = Array.make nnz 0.0 in
-  let k = ref 0 in
-  for e = 0 to Array.length w.coef - 1 do
-    let sw = scale *. w.coef.(e) in
-    if sw <> 0.0 then begin
-      ix.(2 * !k) <- w.ix.(2 * e);
-      ix.((2 * !k) + 1) <- w.ix.((2 * e) + 1);
-      coef.(!k) <- jac *. sw;
-      incr k
-    end
-  done;
-  { w with start; ix; coef }
+  let coef = Array.make nnz 0.0 in
+  let width = if cfg0 then 1 else w.width in
+  if nnz = Array.length w.coef then begin
+    for e = 0 to nnz - 1 do
+      coef.(e) <- jac *. (scale *. w.coef.(e))
+    done;
+    { width; start = w.start; ix = w.ix; coef }
+  end
+  else begin
+    let ix = Array.make (2 * nnz) 0 and k = ref 0 in
+    for e = 0 to Array.length w.coef - 1 do
+      if keep e then begin
+        ix.(2 * !k) <- w.ix.(2 * e);
+        ix.((2 * !k) + 1) <- w.ix.((2 * e) + 1);
+        coef.(!k) <- jac *. (scale *. w.coef.(e));
+        incr k
+      end
+    done;
+    { width; start; ix; coef }
+  end
 
 (* [t]'s weights, dense again: zero where dropped. *)
 let dense_weights t =
@@ -160,10 +172,10 @@ let scaled t scale =
   if !found >= 0 then t.scaled.(!found)
   else begin
     let tbl =
-      if Float.is_finite scale then rescale t.weights ~jac:t.jac ~scale
+      if Float.is_finite scale then rescale ~nc:t.nc t.weights ~jac:t.jac ~scale
       else
         compact ~nblk:t.nblk ~nc:t.nc ~np:t.np ~cfg_of:t.cfg_of
-          (dense_weights t) ~sel:every_mode ~jac:t.jac ~scale
+          (dense_weights t) ~jac:t.jac ~scale
     in
     let i =
       if t.nscaled < cached_scales then begin
@@ -239,8 +251,7 @@ let make (lay : Layout.t) =
   done;
   let jac = Array.fold_left (fun acc dv -> acc *. (dv /. 2.0)) 1.0 dvv in
   let nc = Layout.num_cbasis lay in
-  let compact = compact ~nblk ~nc ~np ~cfg_of weights in
-  let nonzero = compact ~sel:every_mode ~jac:1.0 ~scale:1.0 in
+  let nonzero = compact ~nblk ~nc ~np ~cfg_of weights ~jac:1.0 ~scale:1.0 in
   let run field blk n = { field = [| field |]; blk = [| blk |]; n = [| n |] } in
   let t =
     {
@@ -252,7 +263,7 @@ let make (lay : Layout.t) =
       nv;
       nblk;
       weights = nonzero;
-      totals = compact ~sel:(fun n -> cfg_of.(n) = 0) ~jac ~scale:1.0;
+      totals = rescale ~cfg0:true ~nc nonzero ~jac ~scale:1.0;
       scales = Array.make cached_scales 0.0;
       scaled = Array.make cached_scales nonzero;
       nscaled = 0;
