@@ -207,7 +207,7 @@ let make (lay : Layout.t) =
   let { Tensors.i0; i1; i2 } = Tensors.vspace_tables (Modal.max_1d_degree basis) in
   let dvv = Grid.dx vgrid and lower = Grid.lower vgrid in
   let nv = Grid.num_cells vgrid and nblk = vdim + 2 in
-  let weights = Array.make (nv * nblk * np) 0.0 in
+  let dense = Array.make (nv * nblk * np) 0.0 in
   let vc = Array.make vdim 0 and vcenter = Array.make vdim 0.0 in
   for iv = 0 to nv - 1 do
     Grid.coords_of_linear vgrid iv vc;
@@ -224,7 +224,7 @@ let make (lay : Layout.t) =
       for j = 0 to vdim - 1 do
         m0 := !m0 *. i0.(nu.(j))
       done;
-      weights.(row 0 + n) <- !m0;
+      dense.(row 0 + n) <- !m0;
       for k = 0 to vdim - 1 do
         let c = vcenter.(k) and dv = dvv.(k) in
         let m1k = ref 1.0 and m2k = ref 1.0 in
@@ -243,42 +243,37 @@ let make (lay : Layout.t) =
             m2k := !m2k *. i0.(x)
           end
         done;
-        weights.(row (1 + k) + n) <- !m1k;
+        dense.(row (1 + k) + n) <- !m1k;
         m2 := !m2 +. !m2k
       done;
-      weights.(row (vdim + 1) + n) <- !m2
+      dense.(row (vdim + 1) + n) <- !m2
     done
   done;
   let jac = Array.fold_left (fun acc dv -> acc *. (dv /. 2.0)) 1.0 dvv in
   let nc = Layout.num_cbasis lay in
-  let nonzero = compact ~nblk ~nc ~np ~cfg_of weights ~jac:1.0 ~scale:1.0 in
+  let nonzero = compact ~nblk ~nc ~np ~cfg_of dense ~jac:1.0 ~scale:1.0 in
   let run field blk n = { field = [| field |]; blk = [| blk |]; n = [| n |] } in
-  let t =
-    {
-      lay;
-      np;
-      nc;
-      cfg_of;
-      jac;
-      nv;
-      nblk;
-      weights = nonzero;
-      totals = rescale ~cfg0:true ~nc nonzero ~jac ~scale:1.0;
-      scales = Array.make cached_scales 0.0;
-      scaled = Array.make cached_scales nonzero;
-      nscaled = 0;
-      next = 0;
-      cell_sum = Field.create ~nghost:0 lay.Layout.cgrid ~ncomp:1;
-      m0_run = run 0 0 1;
-      m1_run = run 0 1 vdim;
-      m2_run = run 0 (vdim + 1) 1;
-      raw_runs =
-        { field = [| 0; 1; 2 |]; blk = [| 0; 1; vdim + 1 |]; n = [| 1; vdim; 1 |] };
-    }
-  in
-  (* M0, M2 and the collision operators' M1 all take scale 1 *)
-  ignore (scaled t 1.0);
-  t
+  {
+    lay;
+    np;
+    nc;
+    cfg_of;
+    jac;
+    nv;
+    nblk;
+    weights = nonzero;
+    totals = rescale ~cfg0:true ~nc nonzero ~jac ~scale:1.0;
+    scales = Array.make cached_scales 0.0;
+    scaled = Array.make cached_scales nonzero;
+    nscaled = 0;
+    next = 0;
+    cell_sum = Field.create ~nghost:0 lay.Layout.cgrid ~ncomp:1;
+    m0_run = run 0 0 1;
+    m1_run = run 0 1 vdim;
+    m2_run = run 0 (vdim + 1) 1;
+    raw_runs =
+      { field = [| 0; 1; 2 |]; blk = [| 0; 1; vdim + 1 |]; n = [| 1; vdim; 1 |] };
+  }
 
 let check_field ~(fld : Field.t) (grid : Grid.t) ~ncomp =
   let cells = Grid.cells (Field.grid fld) and want = Grid.cells grid in
