@@ -289,11 +289,14 @@ let check_field ~(fld : Field.t) (grid : Grid.t) ~ncomp =
    [foff0] in [fd], the next ones [fstep] apart, and their velocity cells'
    rows of the run's first block [nblk] apart from [row0]; the run's [n]
    blocks into [od], its stack of configuration coefficients at [o]
-   (less the first block's [blk * nc]). *)
+   (less the first block's [blk * nc]).  Returns the offset of the last
+   block it read, for the walk to check. *)
 let run_pencil od o fd ~foff0 ~fstep ~len (tbl : table) ~row0 ~nblk ~n =
   let start = tbl.start and ix = tbl.ix and coef = tbl.coef in
+  let read = ref foff0 in
   for j = 0 to len - 1 do
     let foff = foff0 + (j * fstep) and row = row0 + (j * nblk) in
+    read := foff;
     for e = Array.unsafe_get start row to Array.unsafe_get start (row + n) - 1 do
       let i = o + Array.unsafe_get ix ((2 * e) + 1) in
       Array.unsafe_set od i
@@ -301,7 +304,8 @@ let run_pencil od o fd ~foff0 ~fstep ~len (tbl : table) ~row0 ~nblk ~n =
         +. Array.unsafe_get coef e
            *. Array.unsafe_get fd (foff + Array.unsafe_get ix (2 * e)))
     done
-  done
+  done;
+  !read
 
 (* The one moment walk: the runs [r] of [tbl] over [f], into [outs].  The
    pencils (the cells along the last, velocity, dimension) are taken in
@@ -310,10 +314,13 @@ let run_pencil od o fd ~foff0 ~fstep ~len (tbl : table) ~row0 ~nblk ~n =
    [Field.cell_step], and per cell a run's blocks are one span of entries.
    Along a pencil, the runs go one after another: each output field is
    some one run's, so it still receives its terms cell by cell in grid
-   order.  Under VMDG_BOUNDS_CHECK=1 every offset so used is checked
-   against the coordinates it stands for.  The field shapes are checked up
-   front, so the accesses need no checks of their own.  An output must not
-   alias another, nor f. *)
+   order.  Under VMDG_BOUNDS_CHECK=1 each output's block offset, and the
+   first and the last block offset a run read along the pencil, are
+   checked against the coordinates they stand for (the blocks between lie
+   on equal steps from one to the other); the check follows the run, so it
+   reports a misstep rather than prevents it.  The field shapes are
+   checked up front, so the accesses need no checks of their own.  An
+   output must not alias another, nor f. *)
 let walk t (tbl : table) (r : runs) ~(f : Field.t) ~(outs : Field.t array) =
   let lay = t.lay in
   let grid = lay.Layout.grid and cdim = lay.Layout.cdim in
@@ -350,11 +357,6 @@ let walk t (tbl : table) (r : runs) ~(f : Field.t) ~(outs : Field.t array) =
       ooff.(k) <- Field.unsafe_leading_offset outs.(k) c
     done;
     if chk then begin
-      for j = 0 to len - 1 do
-        c.(last) <- j;
-        Field.check_walked_offset f c ~dir:last ~by:0 (foff0 + (j * fstep))
-      done;
-      c.(last) <- 0;
       Array.blit c 0 cc 0 cdim;
       for k = 0 to Array.length outs - 1 do
         Field.check_walked_offset outs.(k) cc ~dir:0 ~by:0 ooff.(k)
@@ -365,8 +367,14 @@ let walk t (tbl : table) (r : runs) ~(f : Field.t) ~(outs : Field.t array) =
     let iv0 = p * len mod nv in
     for s = 0 to nruns - 1 do
       let k = r.field.(s) and blk = r.blk.(s) in
-      run_pencil ods.(k) (ooff.(k) - (blk * nc)) fd ~foff0 ~fstep ~len tbl
-        ~row0:((iv0 * nblk) + blk) ~nblk ~n:r.n.(s)
+      let read =
+        run_pencil ods.(k) (ooff.(k) - (blk * nc)) fd ~foff0 ~fstep ~len tbl
+          ~row0:((iv0 * nblk) + blk) ~nblk ~n:r.n.(s)
+      in
+      if chk then begin
+        Field.check_walked_offset f c ~dir:last ~by:0 foff0;
+        Field.check_walked_offset f c ~dir:last ~by:(len - 1) read
+      end
     done
   done
 
