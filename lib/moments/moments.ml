@@ -290,22 +290,24 @@ let check_field ~(fld : Field.t) (grid : Grid.t) ~ncomp =
    rows of the run's first block [nblk] apart from [row0]; the run's [n]
    blocks into [od], its stack of configuration coefficients at [o]
    (less the first block's [blk * nc]).  Returns the offset of the last
-   block it read, for the walk to check. *)
+   block it read, for the walk to check.  The row lookups stay checked:
+   a pencil walked past its end meets the end of the table there. *)
 let run_pencil od o fd ~foff0 ~fstep ~len (tbl : table) ~row0 ~nblk ~n =
   let start = tbl.start and ix = tbl.ix and coef = tbl.coef in
-  let read = ref foff0 in
-  for j = 0 to len - 1 do
-    let foff = foff0 + (j * fstep) and row = row0 + (j * nblk) in
-    read := foff;
-    for e = Array.unsafe_get start row to Array.unsafe_get start (row + n) - 1 do
+  let foff = ref foff0 and row = ref row0 in
+  for _ = 1 to len do
+    let fo = !foff and r = !row in
+    for e = start.(r) to start.(r + n) - 1 do
       let i = o + Array.unsafe_get ix ((2 * e) + 1) in
       Array.unsafe_set od i
         (Array.unsafe_get od i
         +. Array.unsafe_get coef e
-           *. Array.unsafe_get fd (foff + Array.unsafe_get ix (2 * e)))
-    done
+           *. Array.unsafe_get fd (fo + Array.unsafe_get ix (2 * e)))
+    done;
+    foff := fo + fstep;
+    row := r + nblk
   done;
-  !read
+  !foff - fstep
 
 (* The one moment walk: the runs [r] of [tbl] over [f], into [outs].  The
    pencils (the cells along the last, velocity, dimension) are taken in
