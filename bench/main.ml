@@ -72,11 +72,10 @@ let random_em (lay : Layout.t) =
     (Array.make lay.Layout.cdim (Field.Periodic, Field.Periodic));
   em
 
-(* Seconds per call of [f]: the mean of the fastest tenth (at least one)
-   of ten samples, each autoscaled to >= 20 ms, the fast-tail policy of
-   bench/profile.  The host is shared and interference only ever adds
-   time, so the fast tail reads the code's own cost where a median reads
-   the neighbours' load. *)
+(* Seconds per call of [f]: the fastest of ten samples, each autoscaled
+   to >= 20 ms (the fast tail, as bench/profile takes it).  The host is
+   shared and interference only ever adds time, so the fast tail reads
+   the code's own cost where a median reads the neighbours' load. *)
 let time_per_call f =
   let t0 = Unix.gettimeofday () in
   f ();
@@ -89,10 +88,7 @@ let time_per_call f =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int iters
   in
-  let s = Array.init 10 (fun _ -> sample ()) in
-  Array.sort compare s;
-  let tail = max 1 (Array.length s / 10) in
-  Array.fold_left ( +. ) 0.0 (Array.sub s 0 tail) /. float_of_int tail
+  Array.fold_left Float.min infinity (Array.init 10 (fun _ -> sample ()))
 
 (* --- Fig. 1: kernel multiplication counts -------------------------------- *)
 
